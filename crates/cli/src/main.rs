@@ -506,12 +506,11 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
             // The engine retains counted child-sequence multisets, so the
             // facts view supports numeric tightening — identical bytes to
             // the sequential corpus path.
-            let facts = ingested.state.facts_corpus();
             print!(
                 "{}",
                 generate_xsd(
                     &dtd,
-                    Some(&facts),
+                    Some(&ingested.state.corpus),
                     XsdOptions {
                         numeric_threshold: numeric,
                     }
@@ -837,12 +836,11 @@ fn cmd_snapshot_load(args: &[String]) -> Result<(), String> {
     let state = read_snapshot(path)?;
     let (dtd, _) = state.derive(engine);
     if xsd {
-        let facts = state.facts_corpus();
         print!(
             "{}",
             generate_xsd(
                 &dtd,
-                Some(&facts),
+                Some(&state.corpus),
                 XsdOptions {
                     numeric_threshold: None,
                 }

@@ -120,7 +120,13 @@ fn corrupted_and_future_snapshots_are_rejected() {
     std::fs::write(&future, "#dtdinfer-engine v99\ndocuments 1\n").unwrap();
     let err = run_err(&["snapshot", "load", future.to_str().unwrap()]);
     assert!(err.contains("unsupported snapshot version"), "{err}");
-    assert!(err.contains("v2"), "{err}");
+    assert!(err.contains("this build reads v3, v4, and v5"), "{err}");
+
+    // v2 files have no child-word rows, the only records models come from.
+    let v2 = dir.join("v2.snap");
+    std::fs::write(&v2, "#dtdinfer-engine v2\ndocuments 1\n").unwrap();
+    let err = run_err(&["snapshot", "load", v2.to_str().unwrap()]);
+    assert!(err.contains("rebuild it from its documents"), "{err}");
 }
 
 #[test]

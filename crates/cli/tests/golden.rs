@@ -142,3 +142,33 @@ fn kore_corpus_matches_golden_across_jobs_and_permutations() {
         );
     }
 }
+
+/// `--contextual` learns one model per `(parent, element)` context over a
+/// name-sorted alphabet, so its schema and its XSD are pinned across
+/// document permutations, like every other inference path.
+#[test]
+fn contextual_output_is_document_order_invariant() {
+    let files = testdata();
+    let mut reversed = files.clone();
+    reversed.reverse();
+    let interleaved: Vec<String> = files
+        .iter()
+        .skip(1)
+        .step_by(2)
+        .chain(files.iter().step_by(2))
+        .cloned()
+        .collect();
+    for (extra, name) in [
+        (&["--contextual"][..], "books.contextual.txt"),
+        (&["--contextual", "--xsd"][..], "books.contextual.xsd"),
+    ] {
+        let expected = golden(name);
+        for (order, files) in [
+            ("forward", &files),
+            ("reversed", &reversed),
+            ("interleaved", &interleaved),
+        ] {
+            assert_eq!(infer_files(files, extra), expected, "{name}, {order}");
+        }
+    }
+}

@@ -34,8 +34,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// `infer` recomputes the CHARE at any point.
 /// Every component is a set, a multiset, or a count, so the state is
 /// invariant under permutation of the absorbed words and two states can be
-/// [merged](CrxState::merge) in any order — the property the sharded
-/// ingestion engine relies on. Ties (topological order, members of a
+/// [merged](CrxState::merge) in any order (the incremental CHARE learner's
+/// merge). Ties (topological order, members of a
 /// disjunction) are broken by `Sym` order, which equals first-occurrence
 /// order whenever the alphabet was interned from the same word stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -95,8 +95,8 @@ impl CrxState {
 
     /// Merges another state in: the result equals absorbing both word
     /// multisets into one state, in any order. This is the CRX counterpart
-    /// of `Soa::merge` for sharded ingestion — the summary of §7 is a union
-    /// of per-word contributions, so shard-local summaries lose nothing.
+    /// of `Soa::merge` — the summary of §7 is a union of per-word
+    /// contributions, so partial summaries lose nothing.
     pub fn merge(&mut self, other: &CrxState) {
         self.edges.extend(other.edges.iter().copied());
         self.syms.extend(other.syms.iter().copied());
@@ -105,26 +105,6 @@ impl CrxState {
         }
         self.num_words += other.num_words;
         dtdinfer_obs::count("core.crx.merges", 1);
-    }
-
-    /// Rebuilds the state under a symbol translation (for merging states
-    /// built over different alphabets). `f` must be injective on the
-    /// state's symbols.
-    pub fn remap(&self, mut f: impl FnMut(Sym) -> Sym) -> CrxState {
-        CrxState {
-            edges: self.edges.iter().map(|&(a, b)| (f(a), f(b))).collect(),
-            syms: self.syms.iter().map(|&s| f(s)).collect(),
-            count_vectors: self
-                .count_vectors
-                .iter()
-                .map(|(vector, &mult)| {
-                    let mut v: Vec<(Sym, u32)> = vector.iter().map(|&(s, c)| (f(s), c)).collect();
-                    v.sort_unstable();
-                    (v, mult)
-                })
-                .collect(),
-            num_words: self.num_words,
-        }
     }
 
     /// Runs steps 1–4 of Algorithm 3 on the accumulated state.
@@ -735,20 +715,6 @@ mod tests {
         ws.iter().rev().for_each(|w| backward.absorb(w));
         assert_eq!(forward, backward);
         assert_eq!(forward.infer(), backward.infer());
-    }
-
-    #[test]
-    fn remap_preserves_inference_modulo_renaming() {
-        let mut al = Alphabet::new();
-        let ws: Vec<Word> = ["abd", "bcdee", "cade"]
-            .iter()
-            .map(|w| al.word_from_chars(w))
-            .collect();
-        let mut state = CrxState::new();
-        ws.iter().for_each(|w| state.absorb(w));
-        let shifted = state.remap(|s| Sym(s.0 + 7));
-        assert_eq!(shifted.num_words(), state.num_words());
-        assert_eq!(shifted.remap(|s| Sym(s.0 - 7)), state);
     }
 
     #[test]

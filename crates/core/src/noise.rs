@@ -137,43 +137,6 @@ impl SupportSoa {
         self.sym_support.iter().map(|(&s, &c)| (s, c)).collect()
     }
 
-    /// Merges another support-annotated automaton in: SOA union plus
-    /// pointwise addition of every support counter. Equal to absorbing both
-    /// word multisets into one state, in any order.
-    pub fn merge(&mut self, other: &SupportSoa) {
-        self.soa.merge(other.soa());
-        for (&edge, &count) in &other.edge_support {
-            *self.edge_support.entry(edge).or_insert(0) += count;
-        }
-        for (&s, &count) in &other.sym_support {
-            *self.sym_support.entry(s).or_insert(0) += count;
-        }
-        self.num_words += other.num_words;
-    }
-
-    /// Rebuilds the state under a symbol translation (for merging states
-    /// built over different alphabets). `f` must be injective.
-    pub fn remap(&self, mut f: impl FnMut(Sym) -> Sym) -> SupportSoa {
-        SupportSoa {
-            soa: self.soa.remap(&mut f),
-            edge_support: self
-                .edge_support
-                .iter()
-                .map(|(&edge, &count)| {
-                    let edge = match edge {
-                        EdgeKind::Initial(s) => EdgeKind::Initial(f(s)),
-                        EdgeKind::Pair(a, b) => EdgeKind::Pair(f(a), f(b)),
-                        EdgeKind::Final(s) => EdgeKind::Final(f(s)),
-                        EdgeKind::Epsilon => EdgeKind::Epsilon,
-                    };
-                    (edge, count)
-                })
-                .collect(),
-            sym_support: self.sym_support.iter().map(|(&s, &c)| (f(s), c)).collect(),
-            num_words: self.num_words,
-        }
-    }
-
     /// Serializes the state to a line-oriented text format (the iDTD-side
     /// counterpart of `CrxState::to_text` for engine snapshots).
     ///
@@ -510,20 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_learning_the_union() {
-        let mut al = Alphabet::new();
-        let words = noisy_corpus(&mut al);
-        let whole = SupportSoa::learn(&words);
-        for cut in [0, 1, words.len() / 2, words.len() - 1, words.len()] {
-            let mut merged = SupportSoa::learn(&words[..cut]);
-            merged.merge(&SupportSoa::learn(&words[cut..]));
-            assert_eq!(merged.soa(), whole.soa(), "cut {cut}");
-            assert_eq!(merged.num_words(), whole.num_words(), "cut {cut}");
-            assert_eq!(merged.to_text(&al), whole.to_text(&al), "cut {cut}");
-        }
-    }
-
-    #[test]
     fn text_round_trip_preserves_supports() {
         let mut al = Alphabet::new();
         let s = SupportSoa::learn(&noisy_corpus(&mut al));
@@ -558,20 +507,5 @@ mod tests {
                 "accepted {bad:?}"
             );
         }
-    }
-
-    #[test]
-    fn remap_translates_supports() {
-        let mut al = Alphabet::new();
-        let words: Vec<Word> = vec![al.word_from_chars("ab"), al.word_from_chars("b")];
-        let s = SupportSoa::learn(&words);
-        let shifted = s.remap(|Sym(i)| Sym(i + 7));
-        let (a, b) = (al.get("a").unwrap(), al.get("b").unwrap());
-        assert_eq!(shifted.symbol_support(Sym(a.0 + 7)), s.symbol_support(a));
-        assert_eq!(
-            shifted.support(EdgeKind::Pair(Sym(a.0 + 7), Sym(b.0 + 7))),
-            s.support(EdgeKind::Pair(a, b))
-        );
-        assert_eq!(shifted.num_words(), s.num_words());
     }
 }

@@ -1,4 +1,4 @@
-//! Append-only ingest journal layered on the v2 snapshot format.
+//! Append-only ingest journal layered on the engine snapshot format.
 //!
 //! A snapshot is a *compacted* past: re-deriving from it is byte-identical
 //! to re-ingesting every document it absorbed. The journal supplies the
@@ -222,7 +222,7 @@ pub struct Recovered {
     pub truncated_tail: bool,
 }
 
-/// Durable storage for one session: a `<name>.snap` v2 snapshot plus a
+/// Durable storage for one session: a `<name>.snap` engine snapshot plus a
 /// `<name>.journal` of documents ingested since. All mutation goes
 /// through the store so the two files never disagree beyond the
 /// documented crash windows.

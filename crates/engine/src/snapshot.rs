@@ -1,12 +1,14 @@
 //! Versioned engine snapshots: persist an [`EngineState`] and warm-start a
 //! later run from it.
 //!
-//! The format is line-oriented text, built on the learners' own
-//! serializations (`SupportSoa::to_text`, `CrxState::to_text` — the §9
-//! "internal representation is the complete memory" property):
+//! The format is line-oriented text holding exactly the engine's state:
+//! per element, the occurrence count, the value reservoirs and the counted
+//! child-word multiset. Every learner is a pure function of that multiset
+//! (the §9 "internal representation is the complete memory" property), so
+//! no learner state is written:
 //!
 //! ```text
-//! #dtdinfer-engine v4
+//! #dtdinfer-engine v5
 //! documents 24
 //! root lib 24
 //! element author
@@ -17,56 +19,56 @@
 //! attr id 23 64 0
 //! av id b1 1
 //! w 23
-//! s words 23
-//! s sym title 23
-//! s pair title author 23
-//! c words 23
-//! c sym title
 //! ```
 //!
 //! `text total viable overflowed` opens an element's text reservoir
 //! (`viable` is the datatype-viability bitmask, `overflowed` 0/1) and each
 //! `tv value count` line carries one retained sample; `attr name total
 //! viable overflowed` / `av name value count` do the same per attribute.
-//! `w count child…` rows (new in v3) carry the element's counted
-//! child-sequence multiset, one distinct shape per row in canonical
-//! order — `w 23` above records 23 empty child sequences. `s `-prefixed
-//! lines carry the element's support-SOA records, `c ` lines its CRX
-//! summary, and `k ` lines (new in v4) its k-occurrence automaton
-//! (`KoreState::to_text` records). Free-form values (samples, attribute
+//! `w count child…` rows carry the element's counted child-sequence
+//! multiset, one distinct shape per row in canonical order — `w 23` above
+//! records 23 empty child sequences. Free-form values (samples, attribute
 //! names, element names in `element`/`root`) are percent-escaped so they
 //! stay single whitespace-free tokens: `%` → `%25`, space → `%20`,
 //! tab → `%09`, newline → `%0A`, carriage return → `%0D`.
 //!
-//! The header is mandatory. v3 files (identical minus the `k` rows) load
-//! losslessly: the k-occurrence automaton is a pure function of the word
-//! multiset the `w` rows carry, so it is rebuilt exactly. v2 files
-//! (additionally minus the `w` rows) load with empty multisets and an
-//! empty k-ORE state — derivation under the three classic engines is
-//! unchanged because the learner records stay authoritative; the counted
-//! facts view and the k-ORE engine degrade until new documents are
-//! absorbed. Other versions (including v1, whose unbounded sample lists
-//! this build no longer keeps) and missing headers are rejected with a
-//! descriptive error rather than misread.
+//! The header is mandatory. v3 and v4 files hold the same records plus
+//! learner rows (`s` support-SOA and `c` CRX records, and in v4 `k`
+//! k-occurrence records), which are functions of the `w` rows: they load
+//! by skipping those rows, into the state a v5 file of the same documents
+//! holds. v2 files have no `w` rows, so no model can be derived from them;
+//! they are rejected with a message to rebuild them from their documents.
+//! Earlier builds re-saved a loaded v2 file as v3 or v4 without `w` rows,
+//! and such a state that absorbed more documents has `w` rows for those
+//! documents only. So each v3/v4 element section must carry an `s words N`
+//! row whose `N` equals the total of its `w` rows; otherwise the file is
+//! rejected with the same message. In a v5 file a learner row is an
+//! unknown record. Other versions (including v1) and missing headers are
+//! rejected with a descriptive error rather than misread.
 
-use crate::{ElementState, EngineState};
-use dtdinfer_core::crx::CrxState;
-use dtdinfer_core::kore::KoreState;
-use dtdinfer_core::noise::SupportSoa;
+use crate::EngineState;
 use dtdinfer_regex::alphabet::{Sym, Word};
+use dtdinfer_xml::extract::ElementFacts;
 use dtdinfer_xml::samples::{SampleBag, DEFAULT_SAMPLE_CAP};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The header every snapshot this build writes starts with.
-pub const HEADER: &str = "#dtdinfer-engine v4";
+pub const HEADER: &str = "#dtdinfer-engine v5";
 
-/// The previous format, still readable: v4 minus the `k` k-ORE rows
-/// (rebuilt exactly from the `w` multiset rows).
+/// The previous format, still readable: v5 plus the `s`, `c` and `k`
+/// learner rows, which loading skips.
+pub const V4_HEADER: &str = "#dtdinfer-engine v4";
+
+/// The oldest readable format: v4 minus the `k` rows.
 pub const V3_HEADER: &str = "#dtdinfer-engine v3";
 
-/// The oldest readable format: v3 minus the `w` multiset rows.
+/// An unreadable format: v3 minus the `w` multiset rows, the only records
+/// models can be derived from.
 pub const V2_HEADER: &str = "#dtdinfer-engine v2";
+
+/// What to do with a file whose `w` rows do not cover its documents.
+const REBUILD: &str = "rebuild it from its documents with `dtdinfer snapshot save`";
 
 fn write_bag(out: &mut String, kind: &str, prefix: &str, bag: &SampleBag) {
     if bag.is_empty() {
@@ -112,23 +114,6 @@ pub fn save(state: &EngineState) -> String {
                 let _ = write!(out, " {}", esc(state.alphabet.name(s)));
             }
             out.push('\n');
-        }
-        for line in element.support.to_text(&state.alphabet).lines() {
-            if !line.starts_with('#') {
-                let _ = writeln!(out, "s {line}");
-            }
-        }
-        for line in element.crx.to_text(&state.alphabet).lines() {
-            if !line.starts_with('#') {
-                let _ = writeln!(out, "c {line}");
-            }
-        }
-        if !element.kore.is_empty() {
-            for line in element.kore.to_text(&state.alphabet).lines() {
-                if !line.starts_with('#') {
-                    let _ = writeln!(out, "k {line}");
-                }
-            }
         }
     }
     dtdinfer_obs::observe("engine.snapshot.bytes", out.len() as u64);
@@ -185,30 +170,37 @@ impl BagParts {
     }
 }
 
-/// One element section being accumulated: the raw support/CRX record
-/// blocks and reservoir parts are parsed when the section closes.
+/// One element section being accumulated: the reservoir parts and
+/// multiset rows are assembled when the section closes.
 struct Section {
     sym: Sym,
-    element: ElementState,
-    support: String,
-    crx: String,
-    kore: String,
+    element: ElementFacts,
     text: Option<BagParts>,
     attrs: BTreeMap<String, BagParts>,
     words: Vec<(Word, u32)>,
+    /// A v3/v4 section's `s words N` count: the child sequences its
+    /// learners absorbed, which its `w` rows must add up to.
+    learned: Option<u64>,
 }
 
-/// Parses a snapshot produced by [`save`] (v4) or by an earlier build: v3
-/// (k-ORE state rebuilt exactly from the multiset rows) or v2 (loaded with
-/// empty multisets and an empty k-ORE state). Rejects missing headers,
-/// other versions, and malformed records with a descriptive error.
+/// Parses a snapshot produced by [`save`] (v5) or by an earlier build (v3
+/// or v4, whose learner rows are skipped once their `s words` count is
+/// checked against the `w` rows). Rejects v2 files, v3/v4 files whose `w`
+/// rows do not cover every child sequence, missing headers, other
+/// versions, and malformed records with a descriptive error.
 pub fn load(text: &str) -> Result<EngineState, String> {
-    match text.lines().next().map(str::trim) {
-        Some(h) if h == HEADER || h == V3_HEADER || h == V2_HEADER => {}
+    let legacy = match text.lines().next().map(str::trim) {
+        Some(HEADER) => false,
+        Some(V4_HEADER | V3_HEADER) => true,
+        Some(V2_HEADER) => {
+            return Err(format!(
+                "snapshot version \"v2\" has no child-word rows to derive models from; {REBUILD}"
+            ));
+        }
         Some(h) if h.starts_with("#dtdinfer-engine ") => {
             let version = h.trim_start_matches("#dtdinfer-engine ").trim();
             return Err(format!(
-                "unsupported snapshot version {version:?} (this build reads v2, v3, and v4)"
+                "unsupported snapshot version {version:?} (this build reads v3, v4, and v5)"
             ));
         }
         _ => {
@@ -216,7 +208,7 @@ pub fn load(text: &str) -> Result<EngineState, String> {
                 "not a dtdinfer engine snapshot (expected a {HEADER:?} first line)"
             ));
         }
-    }
+    };
     let mut state = EngineState::new();
     let mut current: Option<Section> = None;
     let flush = |state: &mut EngineState, current: &mut Option<Section>| -> Result<(), String> {
@@ -224,12 +216,10 @@ pub fn load(text: &str) -> Result<EngineState, String> {
             let Section {
                 sym,
                 mut element,
-                support,
-                crx,
-                kore,
                 text,
                 attrs,
                 words,
+                learned,
             } = section;
             let name = |state: &EngineState| state.alphabet.name(sym).to_owned();
             // Rows were validated (non-zero counts, well-formed) as they
@@ -246,20 +236,26 @@ pub fn load(text: &str) -> Result<EngineState, String> {
                     name(state)
                 ));
             }
-            element.support = SupportSoa::from_text(&support, &mut state.alphabet)
-                .map_err(|e| format!("support section of {:?}: {e}", name(state)))?;
-            element.crx = CrxState::from_text(&crx, &mut state.alphabet)
-                .map_err(|e| format!("crx section of {:?}: {e}", name(state)))?;
-            element.kore = if kore.is_empty() {
-                // Pre-v4 file: the k-occurrence automaton is a pure
-                // function of the word multiset, so rebuilding from the
-                // `w` rows is exact for v3 (and yields the documented
-                // empty state for v2, whose bag is empty).
-                KoreState::learn_counted(&element.words)
-            } else {
-                KoreState::from_text(&kore, &mut state.alphabet)
-                    .map_err(|e| format!("kore section of {:?}: {e}", name(state)))?
-            };
+            if legacy {
+                let rows = element.words.total();
+                match learned {
+                    Some(n) if n == rows => {}
+                    Some(n) => {
+                        return Err(format!(
+                            "element {:?} has child-word rows for {rows} of its {n} child \
+                             sequences, so no model can be derived from it; {REBUILD}",
+                            name(state)
+                        ));
+                    }
+                    None => {
+                        return Err(format!(
+                            "element {:?} has no \"s words\" row to check its child-word \
+                             rows against",
+                            name(state)
+                        ));
+                    }
+                }
+            }
             if let Some(parts) = text {
                 element.text_samples = parts
                     .into_bag()
@@ -301,16 +297,16 @@ pub fn load(text: &str) -> Result<EngineState, String> {
                 let sym = state.alphabet.intern(&unesc(rest).map_err(err)?);
                 current = Some(Section {
                     sym,
-                    element: ElementState::default(),
-                    support: String::new(),
-                    crx: String::new(),
-                    kore: String::new(),
+                    element: ElementFacts::default(),
                     text: None,
                     attrs: BTreeMap::new(),
                     words: Vec::new(),
+                    learned: None,
                 });
             }
-            "occurrences" | "text" | "tv" | "attr" | "av" | "w" | "s" | "c" | "k" => {
+            "occurrences" | "text" | "tv" | "attr" | "av" | "w" | "s" | "c" | "k"
+                if legacy || !matches!(kind, "s" | "c" | "k") =>
+            {
                 let section = current
                     .as_mut()
                     .ok_or_else(|| err(format!("{kind:?} record outside an element section")))?;
@@ -372,18 +368,17 @@ pub fn load(text: &str) -> Result<EngineState, String> {
                         }
                         section.words.push((word, count));
                     }
-                    "s" => {
-                        section.support.push_str(rest);
-                        section.support.push('\n');
+                    // Learner rows of v3/v4 files: functions of the `w` rows,
+                    // of which only the absorbed-word count is read.
+                    "s" if rest.starts_with("words ") => {
+                        if section.learned.is_some() {
+                            return Err(err("duplicate \"s words\" row".into()));
+                        }
+                        let n = &rest["words ".len()..];
+                        section.learned =
+                            Some(n.parse().map_err(|e| err(format!("bad word count: {e}")))?);
                     }
-                    "k" => {
-                        section.kore.push_str(rest);
-                        section.kore.push('\n');
-                    }
-                    _ => {
-                        section.crx.push_str(rest);
-                        section.crx.push('\n');
-                    }
+                    _ => {}
                 }
             }
             other => return Err(err(format!("unknown record {other:?}"))),
@@ -505,95 +500,124 @@ mod tests {
 
     #[test]
     fn rejects_other_versions() {
-        for other in ["v1", "v5"] {
+        for other in ["v1", "v6"] {
             let err = load(&format!("#dtdinfer-engine {other}\ndocuments 3\n")).unwrap_err();
             assert!(err.contains("unsupported snapshot version"), "{err}");
-            assert!(err.contains("v2, v3, and v4"), "{err}");
+            assert!(err.contains("v3, v4, and v5"), "{err}");
         }
     }
 
-    /// Rewrites a v4 snapshot into the v3 format an earlier build wrote:
-    /// same records minus the `k` k-ORE rows, v3 header.
-    fn downgrade_to_v3(v4: &str) -> String {
-        let mut out = String::new();
-        for line in v4.lines() {
-            if line == HEADER {
-                out.push_str(V3_HEADER);
-            } else if line.starts_with("k ") {
-                continue;
-            } else {
-                out.push_str(line);
-            }
-            out.push('\n');
-        }
-        out
+    /// `testdata/snapshots/books.v4.snap`: `testdata/books` as the last v4
+    /// writer saved it, learner rows included.
+    const BOOKS_V4: &str = include_str!("../../../testdata/snapshots/books.v4.snap");
+
+    /// A fresh engine state over `testdata/books`.
+    fn books_state() -> EngineState {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../testdata/books");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "xml"))
+            .collect();
+        paths.sort();
+        let docs: Vec<String> = paths
+            .iter()
+            .map(|path| std::fs::read_to_string(path).unwrap())
+            .collect();
+        ingest(&docs, 2).unwrap().state
     }
 
-    /// Rewrites a v4 snapshot into the v2 format: additionally minus the
-    /// `w` multiset rows, v2 header.
-    fn downgrade_to_v2(v4: &str) -> String {
-        let mut out = String::new();
-        for line in v4.lines() {
-            if line == HEADER {
-                out.push_str(V2_HEADER);
-            } else if line.starts_with("w ") || line.starts_with("k ") {
-                continue;
-            } else {
+    /// `text` with its header replaced and every row starting with one of
+    /// `drop` removed.
+    fn rewrite(text: &str, header: &str, drop: &[&str]) -> String {
+        let mut out = format!("{header}\n");
+        for line in text.lines().skip(1) {
+            if !drop.iter().any(|prefix| line.starts_with(prefix)) {
                 out.push_str(line);
+                out.push('\n');
             }
-            out.push('\n');
         }
         out
     }
 
     #[test]
     fn v3_snapshots_load_losslessly() {
-        // The k-ORE state is a pure function of the multiset rows, so a
-        // v3 file (no `k` rows) loads into the exact same state a v4 file
-        // would: re-saving reproduces the v4 snapshot byte-for-byte.
-        let state = ingest(&docs(), 2).unwrap().state;
-        let v4 = save(&state);
-        assert!(v4.contains("\nk "), "v4 carries k-ORE rows");
-        let from_v3 = load(&downgrade_to_v3(&v4)).unwrap();
-        assert_eq!(save(&from_v3), v4);
-        for engine in [InferenceEngine::Kore, InferenceEngine::Auto] {
-            assert_eq!(
-                from_v3.derive(engine).0.serialize(),
-                state.derive(engine).0.serialize(),
-                "{engine:?}"
-            );
+        // v4 files, and v3 files (v4 minus the `k` rows), carry learner
+        // rows that are functions of the `w` rows: loading skips them, so
+        // both re-save byte-identical to a fresh v5 save.
+        let state = books_state();
+        let fresh = save(&state);
+        assert_eq!(
+            fresh,
+            rewrite(BOOKS_V4, HEADER, &["s ", "c ", "k "]),
+            "v5 is v4 minus its learner rows"
+        );
+        let v3 = rewrite(BOOKS_V4, V3_HEADER, &["k "]);
+        for legacy in [BOOKS_V4, v3.as_str()] {
+            let loaded = load(legacy).unwrap();
+            assert_eq!(save(&loaded), fresh);
+            for engine in [
+                InferenceEngine::Crx,
+                InferenceEngine::Idtd,
+                InferenceEngine::IdtdNoise { threshold: 2 },
+                InferenceEngine::Kore,
+                InferenceEngine::Auto,
+            ] {
+                assert_eq!(
+                    loaded.derive(engine).0.serialize(),
+                    state.derive(engine).0.serialize(),
+                    "{engine:?}"
+                );
+            }
         }
     }
 
     #[test]
-    fn v2_snapshots_load_and_resave_as_v4_with_identical_output() {
-        let state = ingest(&docs(), 2).unwrap().state;
-        let v4 = save(&state);
-        assert!(v4.starts_with(HEADER), "{}", &v4[..40]);
-        assert!(v4.contains("\nw "), "v4 carries multiset rows");
-        let v2 = downgrade_to_v2(&v4);
-        let from_v2 = load(&v2).unwrap();
-        // Derivation is byte-identical: the learner records are
-        // authoritative, the multiset only feeds the facts view.
-        for engine in [
-            InferenceEngine::Crx,
-            InferenceEngine::Idtd,
-            InferenceEngine::IdtdNoise { threshold: 2 },
+    fn v2_snapshots_are_rejected_with_a_rebuild_message() {
+        // v2 is v3 minus the `w` rows: nothing to derive models from.
+        let v2 = rewrite(BOOKS_V4, V2_HEADER, &["w ", "k "]);
+        let err = load(&v2).unwrap_err();
+        assert!(err.contains("\"v2\""), "{err}");
+        assert!(err.contains("rebuild it from its documents"), "{err}");
+    }
+
+    #[test]
+    fn legacy_files_whose_word_rows_miss_sequences_are_rejected() {
+        // Earlier builds re-saved a loaded v2 file as v3/v4 without `w`
+        // rows; after absorbing more documents its `w` rows covered only
+        // those. The `s words` count exposes both: all rows missing, and
+        // some missing (here the count-1 rows, the first of them in
+        // `book`).
+        for (legacy, element) in [
+            (rewrite(BOOKS_V4, V4_HEADER, &["w "]), "author"),
+            (rewrite(BOOKS_V4, V3_HEADER, &["w ", "k "]), "author"),
+            (rewrite(BOOKS_V4, V4_HEADER, &["w 1 "]), "book"),
         ] {
-            assert_eq!(
-                from_v2.derive(engine).0.serialize(),
-                state.derive(engine).0.serialize(),
-                "{engine:?}"
-            );
+            let err = load(&legacy).unwrap_err();
+            assert!(err.contains(&format!("element {element:?}")), "{err}");
+            assert!(err.contains("rebuild it from its documents"), "{err}");
         }
-        // Re-saving upgrades the header; the multiset and k-ORE state
-        // stay empty (the v2 file never carried them), and that upgraded
-        // file round-trips byte-identically.
-        let upgraded = save(&from_v2);
-        assert!(upgraded.starts_with(HEADER));
-        assert!(!upgraded.contains("\nw "), "no rows to resurrect");
-        assert!(!upgraded.contains("\nk "), "no k-ORE state to resurrect");
-        assert_eq!(save(&load(&upgraded).unwrap()), upgraded);
+        let err = load(&rewrite(BOOKS_V4, V4_HEADER, &["s words "])).unwrap_err();
+        assert!(err.contains("no \"s words\" row"), "{err}");
+        for (row, needle) in [
+            ("s words 61\ns words 61", "duplicate \"s words\""),
+            ("s words sixty-one", "bad word count"),
+        ] {
+            let err = load(&BOOKS_V4.replacen("s words 61", row, 1)).unwrap_err();
+            assert!(err.contains(needle), "{row} → {err}");
+        }
+    }
+
+    #[test]
+    fn v5_rejects_learner_rows() {
+        for row in ["s words 23", "c words 23", "k edge a 0 b 1"] {
+            let err = load(&format!("{HEADER}\nelement a\n{row}\n")).unwrap_err();
+            assert!(err.contains("unknown record"), "{row} → {err}");
+            assert!(err.contains("line 3"), "{row} → {err}");
+        }
+        // v3/v4 files may carry them, but only inside an element section.
+        let err = load(&format!("{V4_HEADER}\ns words 23\n")).unwrap_err();
+        assert!(err.contains("outside an element section"), "{err}");
     }
 
     #[test]
@@ -611,8 +635,8 @@ mod tests {
             );
             assert_eq!(
                 element.words.total(),
-                element.support.num_words(),
-                "bag total matches learner word count for {name}"
+                element.occurrences,
+                "one child sequence per occurrence of {name}"
             );
         }
     }
@@ -666,15 +690,6 @@ mod tests {
                 format!("{HEADER}\nelement a\ntext 5 127 0\ntv x 1\n"),
                 "text reservoir",
             ),
-            (
-                format!("{HEADER}\nelement a\ns pair x\n"),
-                "support section",
-            ),
-            (
-                format!("{HEADER}\nelement a\nk edge a 0 b 1\n"),
-                "kore section",
-            ),
-            (format!("{HEADER}\nelement a\nk bogus\n"), "kore section"),
             (format!("{HEADER}\nelement a%2\n"), "truncated escape"),
         ] {
             let err = load(&bad).unwrap_err();
@@ -728,7 +743,7 @@ mod tests {
                   s pair item note\n";
         let err = load(v1).unwrap_err();
         assert!(err.contains("unsupported snapshot version \"v1\""), "{err}");
-        assert!(err.contains("v2"), "{err}");
+        assert!(err.contains("v5"), "{err}");
     }
 
     #[test]

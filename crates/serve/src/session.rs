@@ -133,11 +133,10 @@ impl Session {
     /// The current schema as an XSD (same rendering as
     /// `dtdinfer infer --xsd --jobs N`).
     pub fn xsd(&mut self) -> String {
-        let facts = self.state.facts_corpus();
-        let dtd = self.dtd().clone();
+        self.dtd();
         generate_xsd(
-            &dtd,
-            Some(&facts),
+            self.cached_dtd.as_ref().expect("just derived"),
+            Some(&self.state.corpus),
             XsdOptions {
                 numeric_threshold: None,
             },

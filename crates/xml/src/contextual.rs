@@ -7,8 +7,8 @@
 //! (the 1-local case of the vertical patterns). This module implements that
 //! step:
 //!
-//! 1. extract child sequences per `(parent, element)` pair instead of per
-//!    element;
+//! 1. extract counted child sequences per `(parent, element)` pair instead
+//!    of per element;
 //! 2. infer one content model per pair with the chosen engine;
 //! 3. merge contexts whose inferred languages coincide (so a DTD-expressible
 //!    corpus collapses back to one type per element, recovering exactly the
@@ -16,26 +16,25 @@
 //! 4. emit an XSD with one named `complexType` per surviving context.
 
 use crate::diff::{compare_regexes, Relation};
-use crate::infer::InferenceEngine;
-use dtdinfer_core::crx::crx;
-use dtdinfer_core::idtd::{idtd_from_words, idtd_traced, IdtdConfig};
-use dtdinfer_core::kore::{pick_auto, KoreState};
-use dtdinfer_core::model::InferredModel;
-use dtdinfer_core::noise::SupportSoa;
+use crate::dtd::ContentSpec;
+use crate::extract::{dominant_root, ElementFacts};
+use crate::infer::{infer_element, InferenceEngine};
 use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
 use dtdinfer_regex::ast::Regex;
+use dtdinfer_regex::multiset::WordBag;
 use std::collections::BTreeMap;
 
-/// Per-(parent, element) child sequences. The root context uses
+/// Per-(parent, element) counted child sequences. The root context uses
 /// `parent = None`.
 #[derive(Debug, Clone, Default)]
 pub struct ContextualCorpus {
-    /// Interned element names.
+    /// Interned element names, in arrival order ([`infer_contextual`]
+    /// canonicalizes).
     pub alphabet: Alphabet,
-    /// `(parent, element)` → child sequences.
-    pub contexts: BTreeMap<(Option<Sym>, Sym), Vec<Word>>,
-    /// Document root element (first seen).
-    pub root: Option<Sym>,
+    /// `(parent, element)` → counted child sequences.
+    pub contexts: BTreeMap<(Option<Sym>, Sym), WordBag>,
+    /// Root elements observed, with counts.
+    pub roots: BTreeMap<Sym, u64>,
 }
 
 impl ContextualCorpus {
@@ -48,14 +47,16 @@ impl ContextualCorpus {
     pub fn add_document(&mut self, doc: &str) -> Result<(), crate::parser::XmlError> {
         let mut parser = crate::parser::XmlPullParser::new(doc);
         let mut stack: Vec<(Sym, Word)> = Vec::new();
+        let mut seen_root = false;
         while let Some(ev) = parser.next()? {
             match ev {
                 crate::parser::XmlEvent::StartElement { name, .. } => {
                     let sym = self.alphabet.intern(name);
                     if let Some((_, children)) = stack.last_mut() {
                         children.push(sym);
-                    } else if self.root.is_none() {
-                        self.root = Some(sym);
+                    } else if !seen_root {
+                        seen_root = true;
+                        *self.roots.entry(sym).or_insert(0) += 1;
                     }
                     stack.push((sym, Word::new()));
                 }
@@ -65,7 +66,7 @@ impl ContextualCorpus {
                     self.contexts
                         .entry((parent, sym))
                         .or_default()
-                        .push(children);
+                        .insert(children);
                 }
                 _ => {}
             }
@@ -89,11 +90,12 @@ pub struct ContextualType {
 /// The result of contextual inference.
 #[derive(Debug, Clone)]
 pub struct ContextualSchema {
-    /// Interned element names.
+    /// Element names, sorted by name.
     pub alphabet: Alphabet,
-    /// The inferred types, deterministic order.
+    /// The inferred types, by element name, then by first parent.
     pub types: Vec<ContextualType>,
-    /// Document root.
+    /// Document root: the root of the most documents, ties to the
+    /// smallest name (the rule of `Corpus::root`).
     pub root: Option<Sym>,
 }
 
@@ -136,36 +138,35 @@ impl ContextualSchema {
 }
 
 /// Runs contextual inference: one model per `(parent, element)` context,
-/// then merges contexts of an element whose languages are equal.
+/// learned by the counted learners of [`infer_element`], then merges
+/// contexts of an element whose languages are equal. The alphabet is
+/// name-sorted first and contexts are visited in name order, so the
+/// schema does not depend on document order.
 pub fn infer_contextual(corpus: &ContextualCorpus, engine: InferenceEngine) -> ContextualSchema {
+    let mut names: Vec<&str> = corpus.alphabet.entries().map(|(_, n)| n).collect();
+    names.sort_unstable();
+    let alphabet = Alphabet::from_names(&names);
+    let map = |s: Sym| {
+        alphabet
+            .get(corpus.alphabet.name(s))
+            .expect("same name set")
+    };
+    let contexts: BTreeMap<(Option<Sym>, Sym), &WordBag> = corpus
+        .contexts
+        .iter()
+        .map(|(&(parent, element), bag)| ((parent.map(map), map(element)), bag))
+        .collect();
     // Infer per context.
     type PerElement = BTreeMap<Sym, Vec<(Option<Sym>, Option<Regex>)>>;
     let mut per_element: PerElement = BTreeMap::new();
-    for (&(parent, element), words) in &corpus.contexts {
-        let model = match engine {
-            InferenceEngine::Crx => crx(words),
-            InferenceEngine::Idtd => idtd_from_words(words),
-            InferenceEngine::IdtdNoise { threshold } => {
-                SupportSoa::learn(words).infer_denoised(threshold)
-            }
-            InferenceEngine::Kore => {
-                let bag: dtdinfer_regex::multiset::WordBag = words.iter().cloned().collect();
-                KoreState::learn_counted(&bag).derive().model
-            }
-            InferenceEngine::Auto => {
-                let bag: dtdinfer_regex::multiset::WordBag = words.iter().cloned().collect();
-                let sore = idtd_traced(
-                    &dtdinfer_automata::soa::Soa::learn(bag.words()),
-                    IdtdConfig::default(),
-                );
-                let kore = KoreState::learn_counted(&bag).derive();
-                let chare = crx(words);
-                pick_auto(sore, kore, chare, corpus.alphabet.len(), &bag).model
-            }
+    for ((parent, element), bag) in contexts {
+        let facts = ElementFacts {
+            words: bag.map_symbols(map),
+            ..ElementFacts::default()
         };
-        let model = match model {
-            InferredModel::Regex(r) => Some(r),
-            InferredModel::EpsilonOnly | InferredModel::Empty => None,
+        let model = match infer_element(&alphabet, element, &facts, engine).0 {
+            ContentSpec::Children(r) => Some(r),
+            _ => None,
         };
         per_element
             .entry(element)
@@ -181,7 +182,7 @@ pub fn infer_contextual(corpus: &ContextualCorpus, engine: InferenceEngine) -> C
                 let same = match (&group.model, &model) {
                     (None, None) => true,
                     (Some(a), Some(b)) => {
-                        compare_regexes(a, &corpus.alphabet, b, &corpus.alphabet) == Relation::Equal
+                        compare_regexes(a, &alphabet, b, &alphabet) == Relation::Equal
                     }
                     _ => false,
                 };
@@ -198,10 +199,11 @@ pub fn infer_contextual(corpus: &ContextualCorpus, engine: InferenceEngine) -> C
         }
         types.extend(groups);
     }
+    let roots = corpus.roots.iter().map(|(&s, &c)| (map(s), c)).collect();
     ContextualSchema {
-        alphabet: corpus.alphabet.clone(),
+        root: dominant_root(&roots, &alphabet),
+        alphabet,
         types,
-        root: corpus.root,
     }
 }
 
@@ -339,7 +341,7 @@ mod tests {
         assert!(schema.requires_xsd(), "{}", schema.render());
         // car has two types: (model price) under new, (model mileage price)
         // under used.
-        let car = c.alphabet.get("car").unwrap();
+        let car = schema.alphabet.get("car").unwrap();
         let car_types: Vec<_> = schema.types.iter().filter(|t| t.element == car).collect();
         assert_eq!(car_types.len(), 2, "{}", schema.render());
     }
@@ -355,7 +357,7 @@ mod tests {
         // `a` occurs under r and under b with the same content model → one
         // merged type covering both parents.
         assert!(!schema.requires_xsd(), "{}", schema.render());
-        let a = c.alphabet.get("a").unwrap();
+        let a = schema.alphabet.get("a").unwrap();
         let a_types: Vec<_> = schema.types.iter().filter(|t| t.element == a).collect();
         assert_eq!(a_types.len(), 1);
         assert_eq!(a_types[0].parents.len(), 2);

@@ -11,7 +11,10 @@ use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
 use dtdinfer_regex::multiset::WordBag;
 use std::collections::BTreeMap;
 
-/// Everything observed about one element name across the corpus.
+/// Everything observed about one element name: the per-element summary
+/// of both the corpus path and the sharded engine, whose snapshots persist
+/// exactly these four fields. Every learner is a pure function of `words`,
+/// so no learner state is kept beside it.
 #[derive(Debug, Clone, Default)]
 pub struct ElementFacts {
     /// The child-name sequences observed under the element, as a counted
@@ -19,7 +22,7 @@ pub struct ElementFacts {
     /// corpora repeat shapes heavily, so this is far smaller than one
     /// word per occurrence and lets the learners absorb each distinct
     /// word once with its multiplicity.
-    pub child_sequences: WordBag,
+    pub words: WordBag,
     /// Non-whitespace text chunks observed directly under the element
     /// (bounded reservoir; exact total and datatype mask).
     pub text_samples: SampleBag,
@@ -32,13 +35,26 @@ pub struct ElementFacts {
 impl ElementFacts {
     /// Whether the element ever had element children.
     pub fn has_element_children(&self) -> bool {
-        self.child_sequences.words().any(|w| !w.is_empty())
+        self.words.words().any(|w| !w.is_empty())
     }
 
     /// Whether the element ever had character data.
     pub fn has_text(&self) -> bool {
         !self.text_samples.is_empty()
     }
+}
+
+/// The root with the most documents, if any. Ties go to the
+/// lexicographically smallest name, so the choice does not depend on
+/// document arrival order.
+pub fn dominant_root(roots: &BTreeMap<Sym, u64>, alphabet: &Alphabet) -> Option<Sym> {
+    roots
+        .iter()
+        .max_by(|a, b| {
+            a.1.cmp(b.1)
+                .then_with(|| alphabet.name(*b.0).cmp(alphabet.name(*a.0)))
+        })
+        .map(|(&sym, _)| sym)
 }
 
 /// A corpus of XML documents reduced to inference-ready statistics.
@@ -113,11 +129,7 @@ impl Corpus {
                 }
                 XmlEvent::EndElement { .. } => {
                     let (sym, children) = stack.pop().expect("parser checks balance");
-                    self.elements
-                        .entry(sym)
-                        .or_default()
-                        .child_sequences
-                        .insert(children);
+                    self.elements.entry(sym).or_default().words.insert(children);
                 }
                 XmlEvent::Text(text) => {
                     let trimmed = text.trim();
@@ -156,17 +168,10 @@ impl Corpus {
         Ok(())
     }
 
-    /// The dominant root element (most documents), if any. Ties go to the
-    /// lexicographically smallest name, so the choice does not depend on
-    /// document arrival order.
+    /// The dominant root element (most documents), if any; see
+    /// [`dominant_root`].
     pub fn root(&self) -> Option<Sym> {
-        self.roots
-            .iter()
-            .max_by(|a, b| {
-                a.1.cmp(b.1)
-                    .then_with(|| self.alphabet.name(*b.0).cmp(self.alphabet.name(*a.0)))
-            })
-            .map(|(&sym, _)| sym)
+        dominant_root(&self.roots, &self.alphabet)
     }
 
     /// A copy of the corpus re-interned over a name-sorted alphabet, so
@@ -186,7 +191,7 @@ impl Corpus {
             .iter()
             .map(|(&sym, facts)| {
                 let mut facts = facts.clone();
-                facts.child_sequences = facts.child_sequences.map_symbols(map);
+                facts.words = facts.words.map_symbols(map);
                 (map(sym), facts)
             })
             .collect();
@@ -202,7 +207,7 @@ impl Corpus {
     /// The child-sequence multiset of one element name.
     pub fn sequences_of(&self, name: &str) -> Option<&WordBag> {
         let sym = self.alphabet.get(name)?;
-        self.elements.get(&sym).map(|f| &f.child_sequences)
+        self.elements.get(&sym).map(|f| &f.words)
     }
 
     /// Total number of extracted words (occurrences, not distinct
@@ -210,7 +215,7 @@ impl Corpus {
     pub fn total_sequences(&self) -> usize {
         self.elements
             .values()
-            .map(|f| f.child_sequences.total() as usize)
+            .map(|f| f.words.total() as usize)
             .sum()
     }
 }
@@ -332,7 +337,7 @@ mod tests {
         assert_eq!(canon.num_documents, 1);
         let z = canon.alphabet.get("z").unwrap();
         let word = canon.elements[&z]
-            .child_sequences
+            .words
             .words()
             .next()
             .expect("one sequence");

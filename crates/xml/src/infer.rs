@@ -5,16 +5,16 @@
 //! §1.2's two scenarios) learns one expression per element, and text/child
 //! mixtures are mapped onto the DTD content-spec forms.
 
-use crate::attlist::{infer_attdef_from_bag, AttInferenceOptions};
+use crate::attlist::{infer_attdef_from_bag, AttDef, AttInferenceOptions};
 use crate::dtd::{ContentSpec, Dtd};
-use crate::extract::Corpus;
+use crate::extract::{Corpus, ElementFacts};
 use dtdinfer_automata::soa::Soa;
 use dtdinfer_core::crx::crx_counted;
 use dtdinfer_core::idtd::{idtd_traced, Event, IdtdConfig};
 use dtdinfer_core::kore::{pick_auto, KoreState};
 use dtdinfer_core::model::InferredModel;
 use dtdinfer_core::noise::SupportSoa;
-use dtdinfer_regex::alphabet::Sym;
+use dtdinfer_regex::alphabet::{Alphabet, Sym};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -102,7 +102,7 @@ pub fn infer_dtd_with_stats(corpus: &Corpus, engine: InferenceEngine) -> (Dtd, V
     };
     let mut reports = Vec::with_capacity(corpus.elements.len());
     for (&sym, facts) in &corpus.elements {
-        let (spec, report) = infer_element(corpus, sym, engine);
+        let (spec, attlist, report) = infer_element(&corpus.alphabet, sym, facts, engine);
         if dtdinfer_obs::is_enabled() {
             dtdinfer_obs::count_labeled("xml.engine", report.engine, 1);
             dtdinfer_obs::observe("xml.element.expr_size", report.expr_size as u64);
@@ -117,22 +117,10 @@ pub fn infer_dtd_with_stats(corpus: &Corpus, engine: InferenceEngine) -> (Dtd, V
             );
         }
         dtd.elements.insert(sym, spec);
-        reports.push(report);
-        let defs: Vec<_> = facts
-            .attributes
-            .iter()
-            .map(|(attr, values)| {
-                infer_attdef_from_bag(
-                    attr,
-                    values,
-                    facts.occurrences,
-                    AttInferenceOptions::default(),
-                )
-            })
-            .collect();
-        if !defs.is_empty() {
-            dtd.attlists.insert(sym, defs);
+        if !attlist.is_empty() {
+            dtd.attlists.insert(sym, attlist);
         }
+        reports.push(report);
     }
     (dtd, reports)
 }
@@ -146,13 +134,20 @@ pub fn spec_size(spec: &ContentSpec) -> usize {
     }
 }
 
-fn infer_element(
-    corpus: &Corpus,
+/// Learns one element's content model and attribute list from its facts:
+/// the per-element step of [`infer_dtd_with_stats`] and of the engine's
+/// derivation over its persisted state. Every learner is built here from
+/// the distinct words of `facts.words`, so no learner state outlives the
+/// call. `alphabet` is the one `facts` is written in; callers pass the
+/// canonical (name-sorted) alphabet so ties break by name. The report's
+/// duration covers the content model only.
+pub fn infer_element(
+    alphabet: &Alphabet,
     sym: Sym,
+    facts: &ElementFacts,
     engine: InferenceEngine,
-) -> (ContentSpec, ElementReport) {
+) -> (ContentSpec, Vec<AttDef>, ElementReport) {
     let started = Instant::now();
-    let facts = &corpus.elements[&sym];
     let mut engine_used = match engine {
         InferenceEngine::Crx => "crx",
         InferenceEngine::Idtd => "idtd",
@@ -181,7 +176,7 @@ fn infer_element(
             // support threshold applies here too: child names occurring
             // fewer than `threshold` times are treated as intruders.
             let mut support: std::collections::BTreeMap<Sym, u64> = Default::default();
-            for (w, n) in facts.child_sequences.iter() {
+            for (w, n) in facts.words.iter() {
                 for &s in w {
                     *support.entry(s).or_insert(0) += u64::from(n);
                 }
@@ -203,9 +198,9 @@ fn infer_element(
             // set union (count-invariant), CRX and the support counters
             // take the multiplicity as a weight.
             let model = match engine {
-                InferenceEngine::Crx => crx_counted(facts.child_sequences.iter()),
+                InferenceEngine::Crx => crx_counted(facts.words.iter()),
                 InferenceEngine::Idtd => {
-                    let soa = Soa::learn(facts.child_sequences.words());
+                    let soa = Soa::learn(facts.words.words());
                     let (model, trace) = idtd_traced(&soa, IdtdConfig::default());
                     for e in &trace {
                         match e {
@@ -217,11 +212,10 @@ fn infer_element(
                     model
                 }
                 InferenceEngine::IdtdNoise { threshold } => {
-                    SupportSoa::learn_counted(facts.child_sequences.iter())
-                        .infer_denoised(threshold)
+                    SupportSoa::learn_counted(facts.words.iter()).infer_denoised(threshold)
                 }
                 InferenceEngine::Kore => {
-                    let outcome = KoreState::learn_counted(&facts.child_sequences).derive();
+                    let outcome = KoreState::learn_counted(&facts.words).derive();
                     for e in &outcome.events {
                         match e {
                             Event::Rewrite(_) => rewrite_steps += 1,
@@ -232,17 +226,11 @@ fn infer_element(
                     outcome.model
                 }
                 InferenceEngine::Auto => {
-                    let soa = Soa::learn(facts.child_sequences.words());
+                    let soa = Soa::learn(facts.words.words());
                     let sore = idtd_traced(&soa, IdtdConfig::default());
-                    let kore = KoreState::learn_counted(&facts.child_sequences).derive();
-                    let chare = crx_counted(facts.child_sequences.iter());
-                    let pick = pick_auto(
-                        sore,
-                        kore,
-                        chare,
-                        corpus.alphabet.len(),
-                        &facts.child_sequences,
-                    );
+                    let kore = KoreState::learn_counted(&facts.words).derive();
+                    let chare = crx_counted(facts.words.iter());
+                    let pick = pick_auto(sore, kore, chare, alphabet.len(), &facts.words);
                     engine_used = pick.engine;
                     for e in &pick.events {
                         match e {
@@ -261,17 +249,29 @@ fn infer_element(
         }
     };
     let report = ElementReport {
-        name: corpus.alphabet.name(sym).to_owned(),
+        name: alphabet.name(sym).to_owned(),
         engine: engine_used,
         occurrences: facts.occurrences,
-        words: facts.child_sequences.total() as usize,
+        words: facts.words.total() as usize,
         rewrite_steps,
         repairs,
         fallbacks,
         expr_size: spec_size(&spec),
         duration_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
     };
-    (spec, report)
+    let attlist = facts
+        .attributes
+        .iter()
+        .map(|(attr, values)| {
+            infer_attdef_from_bag(
+                attr,
+                values,
+                facts.occurrences,
+                AttInferenceOptions::default(),
+            )
+        })
+        .collect();
+    (spec, attlist, report)
 }
 
 #[cfg(test)]

@@ -9,6 +9,18 @@
 //! values seen — independent of arrival order and of how a corpus was
 //! split across shards.
 //!
+//! # Layout
+//!
+//! The retained values live in one `Vec` of `(priority, value, count)`
+//! entries, sorted by `(priority, value)` and never longer than `cap`. The
+//! last entry is therefore the eviction threshold. An insert hashes the
+//! value first; once the bag is full, a value whose `(priority, value)`
+//! lies above the last entry is rejected by that single comparison — the
+//! common case on high-cardinality text, with no allocation and no search.
+//! Everything else binary-searches the `Vec`: a hit increments the count,
+//! a miss inserts in order and, if that overfills the bag, pops the last
+//! entry.
+//!
 //! # Determinism under sharding
 //!
 //! Each distinct value gets a fixed priority `(hash(value), value)`; the
@@ -31,7 +43,6 @@
 //! not just the retained sample.
 
 use crate::datatype::{matches_type, XsdType};
-use std::collections::BTreeMap;
 
 /// Default cap on distinct retained values. Must stay ≥ the attribute
 /// inference `max_enumeration` so that an overflowed bag can never have
@@ -53,19 +64,27 @@ const ORDER: [XsdType; 7] = [
 /// All seven viability bits set (the empty-bag state).
 const ALL_VIABLE: u8 = 0x7f;
 
-/// A retained value's bookkeeping: its exact occurrence count and its
-/// fixed priority (cached so eviction scans never re-hash).
+/// A retained value with its fixed priority and exact occurrence count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Kept {
-    count: u64,
     prio: u64,
+    value: String,
+    count: u64,
+}
+
+impl Kept {
+    /// The retention order: smaller keys are kept first.
+    fn key(&self) -> (u64, &str) {
+        (self.prio, &self.value)
+    }
 }
 
 /// A bounded multiset sketch over observed string values.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleBag {
-    /// Retained distinct values with exact occurrence counts.
-    kept: BTreeMap<String, Kept>,
+    /// Retained distinct values with exact occurrence counts, strictly
+    /// ascending by `(priority, value)`, at most `cap` of them.
+    kept: Vec<Kept>,
     /// Total observations, including values not retained.
     total: u64,
     /// Datatype-viability bitmask over *all* observations (bit i ↔
@@ -75,24 +94,7 @@ pub struct SampleBag {
     overflowed: bool,
     /// Maximum number of distinct values to retain.
     cap: usize,
-    /// Cached eviction threshold: the largest `(priority, value)` among
-    /// `kept`, valid only while the kept set is unchanged. Pure cache —
-    /// excluded from equality — that makes the common overflow case
-    /// (arriving value rejected) O(1) instead of an O(cap) rescan.
-    threshold: Option<(u64, String)>,
 }
-
-impl PartialEq for SampleBag {
-    fn eq(&self, other: &Self) -> bool {
-        self.kept == other.kept
-            && self.total == other.total
-            && self.viable == other.viable
-            && self.overflowed == other.overflowed
-            && self.cap == other.cap
-    }
-}
-
-impl Eq for SampleBag {}
 
 impl Default for SampleBag {
     fn default() -> Self {
@@ -104,27 +106,12 @@ impl SampleBag {
     /// An empty bag retaining at most `cap` distinct values (`cap` ≥ 1).
     pub fn with_cap(cap: usize) -> Self {
         Self {
-            kept: BTreeMap::new(),
+            kept: Vec::new(),
             total: 0,
             viable: ALL_VIABLE,
             overflowed: false,
             cap: cap.max(1),
-            threshold: None,
         }
-    }
-
-    /// The largest `(priority, value)` among the kept values, computing
-    /// and caching it on demand (from stored priorities — no hashing).
-    fn threshold(&mut self) -> &(u64, String) {
-        if self.threshold.is_none() {
-            self.threshold = self
-                .kept
-                .iter()
-                .map(|(v, k)| (k.prio, v.clone()))
-                .max()
-                .or_else(|| Some((u64::MAX, String::new())));
-        }
-        self.threshold.as_ref().expect("just computed")
     }
 
     /// Records one observation of `value`.
@@ -137,31 +124,32 @@ impl SampleBag {
                 }
             }
         }
-        if let Some(kept) = self.kept.get_mut(value) {
-            kept.count += 1;
+        let key = (priority(value), value);
+        // Full and above the threshold: never retained before (the
+        // threshold only decreases), never retainable again.
+        if self.kept.len() >= self.cap && self.kept.last().is_some_and(|last| key > last.key()) {
+            self.overflowed = true;
+            dtdinfer_obs::count("xml.samples.overflow", 1);
             return;
         }
-        if self.kept.len() < self.cap {
-            let prio = priority(value);
-            self.kept.insert(value.to_owned(), Kept { count: 1, prio });
-            self.threshold = None;
-            return;
-        }
-        // Full: keep the cap smallest (hash, value) priorities. The
-        // arriving value enters only by beating the current maximum; a
-        // value already evicted or rejected can never return, because the
-        // threshold only decreases.
-        self.overflowed = true;
-        dtdinfer_obs::count("xml.samples.overflow", 1);
-        let p = priority(value);
-        let (evict_p, evict) = self.threshold();
-        if (p, value) < (*evict_p, evict.as_str()) {
-            let evict = evict.clone();
-            self.kept.remove(&evict);
-            self.kept
-                .insert(value.to_owned(), Kept { count: 1, prio: p });
-            self.threshold = None;
-            dtdinfer_obs::count("xml.samples.evictions", 1);
+        match self.kept.binary_search_by(|k| k.key().cmp(&key)) {
+            Ok(i) => self.kept[i].count += 1,
+            Err(i) => {
+                self.kept.insert(
+                    i,
+                    Kept {
+                        prio: key.0,
+                        value: value.to_owned(),
+                        count: 1,
+                    },
+                );
+                if self.kept.len() > self.cap {
+                    self.kept.pop();
+                    self.overflowed = true;
+                    dtdinfer_obs::count("xml.samples.overflow", 1);
+                    dtdinfer_obs::count("xml.samples.evictions", 1);
+                }
+            }
         }
     }
 
@@ -178,35 +166,23 @@ impl SampleBag {
     /// even across mismatched configurations.
     pub fn merge(&mut self, other: &SampleBag) {
         self.cap = self.cap.min(other.cap);
-        self.threshold = None;
         self.total += other.total;
         self.viable &= other.viable;
         self.overflowed |= other.overflowed;
-        for (value, kept) in &other.kept {
-            self.kept
-                .entry(value.clone())
-                .and_modify(|k| k.count += kept.count)
-                .or_insert_with(|| Kept {
-                    count: kept.count,
-                    prio: kept.prio,
-                });
-        }
+        self.kept.extend(other.kept.iter().cloned());
+        self.kept.sort_unstable_by(|a, b| a.key().cmp(&b.key()));
+        self.kept.dedup_by(|later, earlier| {
+            let same = later.key() == earlier.key();
+            if same {
+                earlier.count += later.count;
+            }
+            same
+        });
         if self.kept.len() > self.cap {
             self.overflowed = true;
-            let mut ranked: Vec<(u64, &str)> = self
-                .kept
-                .iter()
-                .map(|(v, k)| (k.prio, v.as_str()))
-                .collect();
-            ranked.sort_unstable();
-            let doomed: Vec<String> = ranked[self.cap..]
-                .iter()
-                .map(|(_, v)| (*v).to_owned())
-                .collect();
-            dtdinfer_obs::count("xml.samples.evictions", doomed.len() as u64);
-            for v in doomed {
-                self.kept.remove(&v);
-            }
+            let doomed = self.kept.len() - self.cap;
+            dtdinfer_obs::count("xml.samples.evictions", doomed as u64);
+            self.kept.truncate(self.cap);
         }
     }
 
@@ -240,14 +216,20 @@ impl SampleBag {
     /// Retained `(value, count)` pairs in lexicographic value order.
     /// Counts are exact (see the module docs).
     pub fn entries(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.kept.iter().map(|(v, k)| (v.as_str(), k.count))
+        let mut entries: Vec<(&str, u64)> = self
+            .kept
+            .iter()
+            .map(|k| (k.value.as_str(), k.count))
+            .collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries.into_iter()
     }
 
     /// Whether every observed value appeared exactly once, as far as the
     /// retained sample can tell. Exact when not overflowed; under overflow
     /// it is evidence from a uniform sample of the distinct values.
     pub fn looks_all_distinct(&self) -> bool {
-        self.kept.values().all(|k| k.count == 1)
+        self.kept.iter().all(|k| k.count == 1)
     }
 
     /// Whether every observed value (retained or not) is a NMTOKEN.
@@ -287,21 +269,26 @@ impl SampleBag {
         overflowed: bool,
         entries: impl IntoIterator<Item = (String, u64)>,
     ) -> Result<SampleBag, String> {
-        let mut kept = BTreeMap::new();
+        let mut kept = Vec::new();
         for (value, count) in entries {
             if count == 0 {
                 return Err(format!("zero count for sample {value:?}"));
             }
-            let prio = priority(&value);
-            if kept.insert(value.clone(), Kept { count, prio }).is_some() {
-                return Err(format!("duplicate sample {value:?}"));
-            }
+            kept.push(Kept {
+                prio: priority(&value),
+                value,
+                count,
+            });
+        }
+        kept.sort_unstable_by(|a, b| a.key().cmp(&b.key()));
+        if let Some(pair) = kept.windows(2).find(|pair| pair[0].value == pair[1].value) {
+            return Err(format!("duplicate sample {:?}", pair[0].value));
         }
         let cap = cap.max(1);
         if kept.len() > cap {
             return Err(format!("{} samples exceed cap {cap}", kept.len()));
         }
-        let sum: u64 = kept.values().map(|k| k.count).sum();
+        let sum: u64 = kept.iter().map(|k| k.count).sum();
         if sum > total {
             return Err(format!("sample counts {sum} exceed total {total}"));
         }
@@ -316,7 +303,6 @@ impl SampleBag {
             viable: viable & ALL_VIABLE,
             overflowed,
             cap,
-            threshold: None,
         })
     }
 }
@@ -340,6 +326,7 @@ fn priority(value: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn filled(values: &[&str], cap: usize) -> SampleBag {
         let mut bag = SampleBag::with_cap(cap);
@@ -534,6 +521,126 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rebuilt, bag);
+    }
+
+    /// A value stream mixing every datatype the viability mask tracks,
+    /// with enough distinct values to overflow small caps.
+    fn arb_stream() -> impl Strategy<Value = Vec<String>> {
+        prop::collection::vec((0u32..6, 0u32..30), 0..150).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(kind, n)| match kind {
+                    0 => n.to_string(),
+                    1 => format!("{n}.5"),
+                    2 => ["true", "false"][n as usize % 2].to_owned(),
+                    3 => format!("2024-01-{:02}", n % 28 + 1),
+                    4 => format!("tok-{n}"),
+                    _ => format!("free text {n}"),
+                })
+                .collect()
+        })
+    }
+
+    /// The brute-force reference: every distinct value with its exact
+    /// count, ranked by `(priority, value)`, the first `cap` kept; the
+    /// mask and flags computed over the whole stream.
+    fn reference(values: &[String], cap: usize) -> SampleBag {
+        let mut counts: std::collections::BTreeMap<&str, u64> = Default::default();
+        for v in values {
+            *counts.entry(v.as_str()).or_insert(0) += 1;
+        }
+        let mut ranked: Vec<(u64, &str, u64)> =
+            counts.iter().map(|(&v, &c)| (priority(v), v, c)).collect();
+        ranked.sort_unstable();
+        let overflowed = ranked.len() > cap;
+        ranked.truncate(cap);
+        let mut viable = 0u8;
+        for (i, t) in ORDER.iter().enumerate() {
+            if values.iter().all(|v| matches_type(v, *t)) {
+                viable |= 1 << i;
+            }
+        }
+        SampleBag {
+            kept: ranked
+                .into_iter()
+                .map(|(prio, value, count)| Kept {
+                    prio,
+                    value: value.to_owned(),
+                    count,
+                })
+                .collect(),
+            total: values.len() as u64,
+            viable,
+            overflowed,
+            cap,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn insert_matches_brute_force_reference(values in arb_stream(), cap in 1usize..12) {
+            let bag = filled(&values.iter().map(String::as_str).collect::<Vec<_>>(), cap);
+            let expected = reference(&values, cap);
+            prop_assert_eq!(&bag, &expected, "cap {}", cap);
+            prop_assert_eq!(bag.total(), values.len() as u64);
+            prop_assert_eq!(bag.overflowed(), expected.overflowed);
+            prop_assert_eq!(bag.export_header().1, expected.viable);
+            prop_assert_eq!(bag.datatype(), expected.datatype());
+            let mut by_value: Vec<(&str, u64)> =
+                expected.kept.iter().map(|k| (k.value.as_str(), k.count)).collect();
+            by_value.sort_unstable();
+            prop_assert_eq!(bag.entries().collect::<Vec<_>>(), by_value);
+        }
+
+        #[test]
+        fn merged_splits_equal_the_sequential_bag(
+            values in arb_stream(),
+            cuts in prop::collection::vec(0usize..150, 0..4),
+            caps in prop::collection::vec(1usize..12, 5),
+        ) {
+            // Arbitrary contiguous shards, each with its own cap; the
+            // merge normalizes to the smallest cap of any shard.
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(values.len())).collect();
+            bounds.push(0);
+            bounds.push(values.len());
+            bounds.sort_unstable();
+            let shards: Vec<SampleBag> = bounds
+                .windows(2)
+                .zip(&caps)
+                .map(|(w, &cap)| {
+                    filled(&values[w[0]..w[1]].iter().map(String::as_str).collect::<Vec<_>>(), cap)
+                })
+                .collect();
+            let min_cap = shards.iter().map(SampleBag::cap).min().expect("one shard at least");
+            let sequential = reference(&values, min_cap);
+            let mut forward = shards[0].clone();
+            for shard in &shards[1..] {
+                forward.merge(shard);
+            }
+            prop_assert_eq!(&forward, &sequential);
+            let mut backward = shards[shards.len() - 1].clone();
+            for shard in shards[..shards.len() - 1].iter().rev() {
+                backward.merge(shard);
+            }
+            prop_assert_eq!(&backward, &sequential);
+        }
+
+        #[test]
+        fn from_parts_round_trips(values in arb_stream(), cap in 1usize..12) {
+            let bag = filled(&values.iter().map(String::as_str).collect::<Vec<_>>(), cap);
+            let (total, viable, overflowed) = bag.export_header();
+            let rebuilt = SampleBag::from_parts(
+                cap,
+                total,
+                viable,
+                overflowed,
+                bag.entries().map(|(v, c)| (v.to_owned(), c)),
+            )
+            .expect("a bag's own parts are valid");
+            prop_assert_eq!(rebuilt, bag);
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! model.
 
 use dtdinfer_automata::ktestable::KTestable;
+use dtdinfer_core::crx::CrxState;
 use dtdinfer_core::kore::KoreState;
+use dtdinfer_core::noise::SupportSoa;
 use dtdinfer_engine::pool::ingest;
-use dtdinfer_engine::snapshot;
+use dtdinfer_engine::{snapshot, EngineState};
 use dtdinfer_regex::alphabet::{Sym, Word};
 use dtdinfer_regex::multiset::WordBag;
 use dtdinfer_xml::infer::InferenceEngine;
@@ -40,47 +42,91 @@ fn docs_of(words: &[Word]) -> Vec<String> {
         .collect()
 }
 
-/// Downgrades a v4 snapshot to the v3 wire format: drop the persisted
-/// kore rows and swap the header (mirrors what a v3 writer produced).
-fn downgrade_to_v3(text: &str) -> String {
+/// `state` as a v3 or v4 writer saved it: the current records under the
+/// old `header`, plus each element's learner rows after its `w` rows —
+/// `s` support-SOA and `c` CRX records, and for v4 the `k` k-ORE records.
+fn legacy_save(state: &EngineState, header: &str) -> String {
+    let canon = state.canonicalized();
+    let with_kore = header == snapshot::V4_HEADER;
+    let mut learner_rows = canon.elements.values().map(|facts| {
+        let mut crx = CrxState::new();
+        for (w, n) in facts.words.iter() {
+            crx.absorb_counted(w, n);
+        }
+        let kore = KoreState::learn_counted(&facts.words);
+        let mut rows = vec![
+            (
+                "s",
+                SupportSoa::learn_counted(facts.words.iter()).to_text(&canon.alphabet),
+            ),
+            ("c", crx.to_text(&canon.alphabet)),
+        ];
+        if with_kore && !kore.is_empty() {
+            rows.push(("k", kore.to_text(&canon.alphabet)));
+        }
+        let mut out = String::new();
+        for (tag, text) in rows {
+            for line in text.lines().filter(|l| !l.starts_with('#')) {
+                out.push_str(&format!("{tag} {line}\n"));
+            }
+        }
+        out
+    });
+    // Sections appear in canonical element order, as `canon.elements`.
     let mut out = String::new();
-    for line in text.lines() {
+    let mut pending = String::new();
+    for line in snapshot::save(state).lines() {
         if line == snapshot::HEADER {
-            out.push_str(snapshot::V3_HEADER);
-        } else if line.starts_with("k ") {
-            continue;
+            out.push_str(header);
         } else {
+            if line.starts_with("element ") {
+                out.push_str(&std::mem::take(&mut pending));
+                pending = learner_rows.next().expect("one section per element");
+            }
             out.push_str(line);
         }
         out.push('\n');
     }
+    out.push_str(&pending);
     out
+}
+
+/// `text` without its `w` rows: what an earlier build wrote when it
+/// re-saved a v2 file, which had none.
+fn without_word_rows(text: &str) -> String {
+    text.lines()
+        .filter(|l| !l.starts_with("w "))
+        .map(|l| format!("{l}\n"))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Splitting the word multiset into shards, learning each shard
-    /// separately, and merging is identical to learning the whole — for
-    /// every split point, and in either merge order.
+    /// Splitting the documents into shards, absorbing each shard into its
+    /// own engine state, and merging is identical to absorbing the whole —
+    /// for every split point, and in either merge order. The engine keeps
+    /// only the word multiset and learns the k-ORE from it at derive time,
+    /// so equal snapshots mean equal k-ORE states.
     #[test]
     fn kore_merge_of_split_equals_whole(words in arb_words(3), cut in 0usize..10) {
         let cut = cut.min(words.len());
-        let whole_bag: WordBag = words.iter().cloned().collect();
-        let whole = KoreState::learn_counted(&whole_bag);
-
-        let left_bag: WordBag = words[..cut].iter().cloned().collect();
-        let right_bag: WordBag = words[cut..].iter().cloned().collect();
-        let left = KoreState::learn_counted(&left_bag);
-        let right = KoreState::learn_counted(&right_bag);
+        let docs = docs_of(&words);
+        let whole = ingest(&docs, 1).expect("ingest").state;
+        let left = ingest(&docs[..cut], 1).expect("ingest").state;
+        let right = ingest(&docs[cut..], 1).expect("ingest").state;
 
         let mut lr = left.clone();
         lr.merge(&right);
-        prop_assert_eq!(&lr, &whole, "left ∪ right must equal the whole");
-
-        let mut rl = right.clone();
+        let mut rl = right;
         rl.merge(&left);
-        prop_assert_eq!(&rl, &whole, "merge must be commutative");
+        for merged in [&lr, &rl] {
+            prop_assert_eq!(snapshot::save(merged), snapshot::save(&whole));
+            prop_assert_eq!(
+                merged.derive(InferenceEngine::Kore).0.serialize(),
+                whole.derive(InferenceEngine::Kore).0.serialize()
+            );
+        }
     }
 
     /// Incremental absorption equals batch learning: the state is a pure
@@ -101,14 +147,19 @@ proptest! {
         prop_assert_eq!(&backward, &batch);
     }
 
-    /// Snapshot v4 round trip: save → load → save is the identity, and
-    /// the loaded state derives the same kore/auto DTDs — for any shard
-    /// count used during ingestion.
+    /// Snapshot round trip: a v4 file (learner rows included) loads into
+    /// the state of its word rows and re-saves as the fresh current save;
+    /// save → load → save is the identity; and the loaded state derives
+    /// the same kore/auto DTDs — for any shard count used during ingestion.
     #[test]
     fn snapshot_v4_round_trips(words in arb_words(2), jobs in 1usize..4) {
         let docs = docs_of(&words);
         let state = ingest(&docs, jobs).expect("ingest").state;
         let text = snapshot::save(&state);
+        let v4 = legacy_save(&state, snapshot::V4_HEADER);
+        prop_assert!(v4.contains("\nk "), "a v4 file carries k-ORE rows");
+        let from_v4 = snapshot::load(&v4).expect("v4 snapshot loads");
+        prop_assert_eq!(snapshot::save(&from_v4), text.clone(), "v4 re-saves as current");
         let loaded = snapshot::load(&text).expect("fresh save loads");
         prop_assert_eq!(snapshot::save(&loaded), text.clone(), "save∘load is the identity");
         for engine in [InferenceEngine::Kore, InferenceEngine::Auto] {
@@ -120,21 +171,26 @@ proptest! {
         }
     }
 
-    /// v3 read-compat: a snapshot with its kore rows stripped loads, the
-    /// kore state is rebuilt *exactly* from the word rows, and re-saving
-    /// produces the byte-identical v4 text the rows were stripped from.
+    /// v3 read-compat: a v3 file's learner rows are skipped once its
+    /// `s words` count matches its `w` rows, so it loads into the exact
+    /// state of those rows — re-saving produces the byte-identical current
+    /// text, and the k-ORE learned from the rows equals the original's.
+    /// Without its `w` rows (an upgraded v2 file) it is rejected.
     #[test]
     fn snapshot_v3_rebuilds_kore_exactly(words in arb_words(2)) {
         let docs = docs_of(&words);
         let state = ingest(&docs, 2).expect("ingest").state;
-        let v4 = snapshot::save(&state);
-        let v3 = downgrade_to_v3(&v4);
+        let current = snapshot::save(&state);
+        let v3 = legacy_save(&state, snapshot::V3_HEADER);
+        prop_assert!(v3.contains("\ns words "), "a v3 file carries support-SOA rows");
         let loaded = snapshot::load(&v3).expect("v3 snapshot loads");
-        prop_assert_eq!(snapshot::save(&loaded), v4, "rebuild from word rows is exact");
+        prop_assert_eq!(snapshot::save(&loaded), current, "rebuild from word rows is exact");
         prop_assert_eq!(
             loaded.derive(InferenceEngine::Kore).0.serialize(),
             state.derive(InferenceEngine::Kore).0.serialize()
         );
+        let err = snapshot::load(&without_word_rows(&v3)).unwrap_err();
+        prop_assert!(err.contains("rebuild it from its documents"), "{}", err);
     }
 
     /// KTestable::learn is antitone in k on acceptance: for every probe,
@@ -159,4 +215,25 @@ proptest! {
             }
         }
     }
+}
+
+/// The v3/v4 files the proptests feed the loader are the ones those
+/// writers produced: over `testdata/books`, [`legacy_save`] reproduces the
+/// fixture the last v4 writer saved, byte for byte.
+#[test]
+fn legacy_save_reproduces_the_v4_writer() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut paths: Vec<_> = std::fs::read_dir(root.join("testdata/books"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "xml"))
+        .collect();
+    paths.sort();
+    let docs: Vec<String> = paths
+        .iter()
+        .map(|path| std::fs::read_to_string(path).unwrap())
+        .collect();
+    let state = ingest(&docs, 2).expect("ingest").state;
+    let fixture = std::fs::read_to_string(root.join("testdata/snapshots/books.v4.snap")).unwrap();
+    assert_eq!(legacy_save(&state, snapshot::V4_HEADER), fixture);
 }
