@@ -8,12 +8,13 @@
 //! * `table2` — Table 2 (sophisticated real-world expressions);
 //! * `figure4` — Figure 4 (success fraction vs subsample size, CSV);
 //! * `critical_size` — §8.2 (O(n) vs n² sample-size claims);
+//! * `ablation` — rule order, the simplify post-pass, iDTD repair
+//!   configuration;
 //! * `perf_table` — §8.3 (wall-clock comparison, xtract crash point).
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! End-to-end and per-layer performance is measured by the repository
+//! benchmark, `perfbench/` (see its README).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -24,82 +25,8 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// One synthetic "publication record" document. The shape exercises every
-/// engine path: nested element structure, optional/repeated children,
-/// attributes, text content, and an occasional empty element.
-fn synth_document(rng: &mut StdRng, i: usize) -> String {
-    let mut doc = String::with_capacity(512);
-    doc.push_str(&format!("<library id=\"L{i}\">"));
-    for _ in 0..rng.gen_range(1..=4) {
-        doc.push_str("<book>");
-        doc.push_str(&format!("<title>Volume {}</title>", rng.gen_range(1..500)));
-        for a in 0..rng.gen_range(1..=3) {
-            doc.push_str(&format!("<author>Writer {a}</author>"));
-        }
-        doc.push_str(&format!("<year>{}</year>", rng.gen_range(1950..2026)));
-        if rng.gen_bool(0.7) {
-            doc.push_str(&format!(
-                "<publisher>House {}</publisher>",
-                rng.gen_range(0..20)
-            ));
-        } else {
-            doc.push_str("<self-published/>");
-        }
-        if rng.gen_bool(0.5) {
-            doc.push_str(&format!("<price>{}.99</price>", rng.gen_range(5..80)));
-        }
-        doc.push_str("</book>");
-    }
-    doc.push_str("</library>");
-    doc
-}
-
-/// A deterministic synthetic corpus of `n` documents — the shared workload
-/// of the `scaling` and `perfgate` binaries, so their numbers are
-/// comparable.
-pub fn synth_corpus(n: usize, seed: u64) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|i| synth_document(&mut rng, i)).collect()
-}
-
-/// A deterministic synthetic corpus of at least `min_bytes` total XML —
-/// the multi-megabyte ingestion workload behind perfgate's `ingest.mb.*`
-/// phases. Documents come from the same generator as [`synth_corpus`],
-/// so the per-document shape (and thus the inferred schema) is the same;
-/// only the corpus is sized by bytes instead of document count.
-pub fn synth_corpus_bytes(min_bytes: usize, seed: u64) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut docs = Vec::new();
-    let mut total = 0usize;
-    for i in 0.. {
-        if total >= min_bytes {
-            break;
-        }
-        let doc = synth_document(&mut rng, i);
-        total += doc.len();
-        docs.push(doc);
-    }
-    docs
-}
-
-/// Runs `f` with metrics recording enabled against a clean registry and
-/// returns its result together with the snapshot of everything it
-/// recorded. Recording is switched back off afterwards.
-pub fn with_metrics<T>(f: impl FnOnce() -> T) -> (T, dtdinfer_obs::MetricsSnapshot) {
-    dtdinfer_obs::enable(true, false);
-    dtdinfer_obs::reset();
-    let out = f();
-    if dtdinfer_obs::alloc::compiled_in() && dtdinfer_obs::alloc::is_enabled() {
-        dtdinfer_obs::alloc::publish_gauges();
-    }
-    let snap = dtdinfer_obs::snapshot();
-    dtdinfer_obs::disable();
-    (out, snap)
-}
-
 /// Writes a metrics snapshot as JSON to `target` — a file path, or `-` for
-/// stdout. This is the one emit path shared by the CLI and the benchmark
-/// binaries, so future `BENCH_*.json` artifacts stay format-compatible.
+/// stdout — in the same form as the CLI's `--metrics`.
 pub fn emit_metrics(snap: &dtdinfer_obs::MetricsSnapshot, target: &str) -> std::io::Result<()> {
     let json = snap.json();
     if target == "-" {
@@ -146,30 +73,5 @@ mod tests {
         assert!(fmt_duration(Duration::from_secs(2)).ends_with(" s"));
         assert!(fmt_duration(Duration::from_millis(5)).ends_with(" ms"));
         assert!(fmt_duration(Duration::from_micros(7)).ends_with(" µs"));
-    }
-
-    #[test]
-    fn synth_corpus_bytes_hits_the_size_floor_deterministically() {
-        let a = synth_corpus_bytes(64 * 1024, 9);
-        let b = synth_corpus_bytes(64 * 1024, 9);
-        assert_eq!(a, b, "same seed, same corpus");
-        let total: usize = a.iter().map(String::len).sum();
-        assert!(total >= 64 * 1024, "at least min_bytes of XML: {total}");
-        // The floor is crossed by at most one document.
-        let without_last: usize = a[..a.len() - 1].iter().map(String::len).sum();
-        assert!(without_last < 64 * 1024, "no overshoot beyond one document");
-    }
-
-    #[test]
-    fn synth_corpus_is_deterministic_and_parses() {
-        let a = synth_corpus(20, 42);
-        let b = synth_corpus(20, 42);
-        assert_eq!(a, b, "same seed, same corpus");
-        assert_ne!(a, synth_corpus(20, 7), "different seed differs");
-        let mut corpus = dtdinfer_xml::extract::Corpus::new();
-        for doc in &a {
-            corpus.add_document(doc).expect("synthetic corpus parses");
-        }
-        assert_eq!(corpus.num_documents, 20);
     }
 }

@@ -21,8 +21,7 @@ use dtdinfer_engine::source::PathSource;
 use dtdinfer_engine::{snapshot, EngineState};
 use dtdinfer_regex::alphabet::{Alphabet, Word};
 use dtdinfer_xml::dtd::Dtd;
-use dtdinfer_xml::extract::Corpus;
-use dtdinfer_xml::infer::{infer_dtd_with_stats, ElementReport, InferenceEngine};
+use dtdinfer_xml::infer::{ElementReport, InferenceEngine};
 use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
 use std::io::Read;
 use std::process::ExitCode;
@@ -298,7 +297,8 @@ USAGE:
       --contextual                      XSD-strength typing: content models
                                         may depend on the parent element
       --numeric <N>                     tighten ?/+/* to numeric bounds
-                                        (unbounded above N occurrences)
+                                        (unbounded above N occurrences);
+                                        requires --xsd
       --jobs <N>                        shard the corpus across N worker
                                         threads; output is byte-identical
                                         for every N
@@ -483,43 +483,14 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
     if files.is_empty() {
         return Err("no input files".to_owned());
     }
-    if let Some(jobs) = jobs {
-        if contextual {
-            return Err("--contextual does not support --jobs yet".to_owned());
-        }
-        obs.activate()?;
-        let ingested = stream_ingest(EngineState::new(), &files, jobs, &obs)?;
-        let (dtd, reports) = ingested.state.derive(engine);
-        if obs.verbose {
-            for r in &reports {
-                eprintln!(
-                    "dtdinfer: element {} engine={} words={} repairs={} in {}",
-                    r.name,
-                    r.engine,
-                    r.words,
-                    r.repairs,
-                    fmt_ns(r.duration_ns)
-                );
-            }
-        }
-        if xsd {
-            // The engine retains counted child-sequence multisets, so the
-            // facts view supports numeric tightening — identical bytes to
-            // the sequential corpus path.
-            print!(
-                "{}",
-                generate_xsd(
-                    &dtd,
-                    Some(&ingested.state.corpus),
-                    XsdOptions {
-                        numeric_threshold: numeric,
-                    }
-                )
-            );
-        } else {
-            print!("{}", dtd.serialize());
-        }
-        return obs.finish();
+    if numeric.is_some() && !xsd {
+        return Err("--numeric requires --xsd".to_owned());
+    }
+    if contextual && jobs.is_some() {
+        return Err("--contextual does not support --jobs yet".to_owned());
+    }
+    if contextual && numeric.is_some() {
+        return Err("--contextual does not support --numeric".to_owned());
     }
     obs.activate()?;
     if contextual {
@@ -548,8 +519,8 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         }
         return obs.finish();
     }
-    let corpus = read_corpus(&files, &obs)?;
-    let (dtd, reports) = infer_dtd_with_stats(&corpus, engine);
+    let ingested = stream_ingest(EngineState::new(), &files, jobs.unwrap_or(1), &obs)?;
+    let (dtd, reports) = ingested.state.derive(engine);
     if obs.verbose {
         for r in &reports {
             eprintln!(
@@ -563,11 +534,13 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         }
     }
     if xsd {
+        // The engine keeps the counted child-sequence multisets that
+        // numeric tightening reads.
         print!(
             "{}",
             generate_xsd(
                 &dtd,
-                Some(&corpus),
+                Some(&ingested.state.corpus),
                 XsdOptions {
                     numeric_threshold: numeric,
                 }
@@ -577,27 +550,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         print!("{}", dtd.serialize());
     }
     obs.finish()
-}
-
-/// Parses every input file into one corpus, with `-v` progress. Files are
-/// read one at a time into a reused buffer and dropped after extraction,
-/// so peak memory is one document, not the corpus.
-fn read_corpus(files: &[String], obs: &ObsOptions) -> Result<Corpus, String> {
-    let mut corpus = Corpus::new();
-    let mut buf = String::new();
-    for f in files {
-        buf.clear();
-        std::fs::File::open(f)
-            .and_then(|mut file| file.read_to_string(&mut buf))
-            .map_err(|e| format!("{f}: {e}"))?;
-        corpus
-            .add_document_from(&buf, f)
-            .map_err(|e| e.to_string())?;
-        if obs.verbose {
-            eprintln!("dtdinfer: parsed {f}");
-        }
-    }
-    Ok(corpus)
 }
 
 fn parse_jobs(value: Option<&String>) -> Result<usize, String> {
@@ -673,16 +625,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         return Err("no input files".to_owned());
     }
     obs.activate()?;
-    if let Some(jobs) = jobs {
-        let ingested = stream_ingest(EngineState::new(), &files, jobs, &obs)?;
-        let (_, reports) = ingested.state.derive(engine);
-        print_stats(ingested.state.num_documents, &reports);
+    let ingested = stream_ingest(EngineState::new(), &files, jobs.unwrap_or(1), &obs)?;
+    let (_, reports) = ingested.state.derive(engine);
+    print_stats(ingested.state.num_documents, &reports);
+    if jobs.is_some() {
         print_shards(&ingested);
-        return obs.finish();
     }
-    let corpus = read_corpus(&files, &obs)?;
-    let (_, reports) = infer_dtd_with_stats(&corpus, engine);
-    print_stats(corpus.num_documents, &reports);
     obs.finish()
 }
 
@@ -1236,7 +1184,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             fmt_ns(r.duration_ns)
         );
     }
-    if dtdinfer_obs::alloc::compiled_in() {
+    // Gate on this crate's feature: it alone installs the counting
+    // allocator above, whatever features `dtdinfer-obs` was built with.
+    if cfg!(feature = "alloc-count") {
         println!();
         println!(
             "allocator: peak {} byte(s), total {} byte(s) over {} allocation(s)",

@@ -529,7 +529,10 @@ fn trace_writes_json_lines_and_verbose_reports_progress() {
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
     let (_, stderr, ok) = run_with_stdin(&argv, "");
     assert!(ok, "{stderr}");
-    assert!(stderr.contains("parsed"), "{stderr}");
+    assert!(
+        stderr.contains("streaming 2 file(s) across 1 worker(s)"),
+        "{stderr}"
+    );
     assert!(stderr.contains("element r engine=idtd"), "{stderr}");
     let trace = std::fs::read_to_string(&trace_path).unwrap();
     assert!(!trace.is_empty());
@@ -627,6 +630,39 @@ fn chrome_trace_format_emits_trace_events_with_distinct_tids() {
         tids.len() >= 2,
         "--jobs 4 must record at least two distinct thread ids, got {tids:?}: {trace}"
     );
+}
+
+#[test]
+fn numeric_without_xsd_is_rejected() {
+    let dir = tempdir();
+    let files = docs_from_words(&dir, &["ab", "aab"]);
+    let (stdout, stderr, ok) = run_with_stdin(&["infer", "--numeric", "2", files[0].as_str()], "");
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("--numeric requires --xsd"), "{stderr}");
+    assert!(stdout.is_empty(), "no schema printed: {stdout}");
+}
+
+#[test]
+fn numeric_with_contextual_xsd_is_rejected() {
+    let dir = tempdir();
+    let files = docs_from_words(&dir, &["ab", "aab"]);
+    let (stdout, stderr, ok) = run_with_stdin(
+        &[
+            "infer",
+            "--contextual",
+            "--xsd",
+            "--numeric",
+            "2",
+            files[0].as_str(),
+        ],
+        "",
+    );
+    assert!(!ok, "{stdout}");
+    assert!(
+        stderr.contains("--contextual does not support --numeric"),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "no schema printed: {stdout}");
 }
 
 #[test]

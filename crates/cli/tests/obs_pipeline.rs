@@ -217,6 +217,31 @@ fn profile_prints_critical_path_and_writes_folded_stacks() {
 }
 
 #[test]
+fn profile_reports_the_allocator_exactly_when_the_binary_counts() {
+    let dir = tempdir();
+    let folded = dir.join("alloc.folded");
+    let mut args = vec![
+        "profile".to_owned(),
+        "--folded".to_owned(),
+        folded.to_string_lossy().into_owned(),
+    ];
+    args.extend(corpus_files());
+    let argv: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (stdout, stderr, ok) = run_with_stdin(&argv, "");
+    assert!(ok, "profile failed: {stderr}");
+    let line = stdout.lines().find(|l| l.starts_with("allocator:"));
+    if cfg!(feature = "alloc-count") {
+        let line = line.unwrap_or_else(|| panic!("no allocator line: {stdout}"));
+        assert!(!line.contains("total 0 byte(s)"), "all-zero: {line}");
+    } else {
+        // Without its own counting allocator the binary has nothing to
+        // report; an all-zero line would be a false measurement.
+        assert_eq!(line, None, "{stdout}");
+    }
+    std::fs::remove_file(&folded).ok();
+}
+
+#[test]
 fn profile_without_inputs_fails() {
     let (_, stderr, ok) = run_with_stdin(&["profile"], "");
     assert!(!ok);

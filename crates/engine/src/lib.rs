@@ -31,11 +31,13 @@ pub mod pool;
 pub mod snapshot;
 pub mod source;
 
-use dtdinfer_regex::alphabet::{Sym, Word};
+pub use dtdinfer_xml::extract::ParseArena;
+
+use dtdinfer_regex::alphabet::Sym;
 use dtdinfer_xml::dtd::Dtd;
 use dtdinfer_xml::extract::{Corpus, ElementFacts};
 use dtdinfer_xml::infer::{infer_dtd_with_stats, ElementReport, InferenceEngine};
-use dtdinfer_xml::parser::{XmlError, XmlEvent, XmlPullParser};
+use dtdinfer_xml::parser::XmlError;
 use std::ops::{Deref, DerefMut};
 
 /// Merges another shard's facts for the same element name, translating
@@ -52,40 +54,10 @@ fn merge_element(into: &mut ElementFacts, other: &ElementFacts, f: impl FnMut(Sy
     into.occurrences += other.occurrences;
 }
 
-/// Reusable per-worker parse scratch: the element stack and a pool of
-/// recycled child [`Word`]s. One arena per shard keeps the steady-state
-/// ingestion loop allocation-free for repeated document shapes — new
-/// allocations happen only on first sight of a distinct child sequence.
-#[derive(Debug, Default)]
-pub struct ParseArena {
-    /// Open-element stack: (element symbol, children seen so far).
-    stack: Vec<(Sym, Word)>,
-    /// Recycled `Word` buffers, refilled as elements close.
-    spare: Vec<Word>,
-}
-
-impl ParseArena {
-    /// A fresh arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns every in-progress buffer to the spare pool (used after a
-    /// parse error aborts a document mid-way, so the arena is clean for
-    /// the next one).
-    fn recycle(&mut self) {
-        while let Some((_, mut w)) = self.stack.pop() {
-            w.clear();
-            self.spare.push(w);
-        }
-    }
-}
-
-/// The engine's whole-corpus state: the same per-element facts and root
-/// statistics a [`Corpus`] accumulates (and derefs to), built by the
-/// engine's own absorption loop and merged across shards. Memory is
-/// bounded by the distinct child-name sequences and the capped reservoirs,
-/// not by the corpus.
+/// The engine's whole-corpus state: a [`Corpus`] (it derefs to one),
+/// filled by the corpus's own parse loop and merged across shards.
+/// Memory is bounded by the distinct child-name sequences and the capped
+/// reservoirs, not by the corpus.
 #[derive(Debug, Clone, Default)]
 pub struct EngineState {
     /// Word multiset, reservoirs and occurrence count per element name,
@@ -132,94 +104,22 @@ impl EngineState {
             .map_err(|e| e.with_source(source))
     }
 
-    /// Parses one document and folds its statistics in — the engine-side
-    /// twin of `Corpus::add_document`.
+    /// Parses one document and folds its statistics in.
     pub fn absorb_document(&mut self, doc: &str) -> Result<(), XmlError> {
         self.absorb_document_with(doc, &mut ParseArena::new())
     }
 
-    /// [`EngineState::absorb_document`] with caller-owned scratch: a
-    /// worker that ingests many documents reuses one [`ParseArena`], so
-    /// the per-document element stack and child words come from recycled
-    /// buffers. Each closing element adds its child sequence to its
-    /// element's multiset by reference: a shape seen before costs one
-    /// binary search and an increment.
+    /// [`EngineState::absorb_document`] with caller-owned scratch: runs
+    /// the one parse loop, `Corpus::add_document_with`, and counts the
+    /// document in `engine.documents` — one registry call per document.
     pub fn absorb_document_with(
         &mut self,
         doc: &str,
         arena: &mut ParseArena,
     ) -> Result<(), XmlError> {
-        let corpus = &mut self.corpus;
-        let mut parser = XmlPullParser::new(doc);
-        let mut seen_root = false;
-        loop {
-            let event = match parser.next() {
-                Ok(Some(event)) => event,
-                Ok(None) => break,
-                Err(e) => {
-                    dtdinfer_obs::count("engine.parse_errors", 1);
-                    arena.recycle();
-                    return Err(e);
-                }
-            };
-            match event {
-                XmlEvent::StartElement {
-                    name, attributes, ..
-                } => {
-                    let sym = corpus.alphabet.intern(name);
-                    let state = corpus.elements.entry(sym).or_default();
-                    state.occurrences += 1;
-                    for (attr, value) in &attributes {
-                        // Allocate the attribute name only on first sight.
-                        if let Some(bag) = state.attributes.get_mut(*attr) {
-                            bag.insert(value);
-                        } else {
-                            state
-                                .attributes
-                                .entry((*attr).to_owned())
-                                .or_default()
-                                .insert(value);
-                        }
-                    }
-                    if let Some((_, children)) = arena.stack.last_mut() {
-                        children.push(sym);
-                    } else if !seen_root {
-                        seen_root = true;
-                        *corpus.roots.entry(sym).or_insert(0) += 1;
-                    }
-                    let children = arena.spare.pop().unwrap_or_default();
-                    arena.stack.push((sym, children));
-                }
-                XmlEvent::EndElement { .. } => {
-                    let (sym, mut children) = arena.stack.pop().expect("parser checks balance");
-                    corpus
-                        .elements
-                        .entry(sym)
-                        .or_default()
-                        .words
-                        .insert_ref(&children);
-                    children.clear();
-                    arena.spare.push(children);
-                }
-                XmlEvent::Text(text) => {
-                    let trimmed = text.trim();
-                    if !trimmed.is_empty() {
-                        if let Some(&mut (sym, _)) = arena.stack.last_mut() {
-                            corpus
-                                .elements
-                                .entry(sym)
-                                .or_default()
-                                .text_samples
-                                .insert(trimmed);
-                        }
-                    }
-                }
-                XmlEvent::Comment(_)
-                | XmlEvent::ProcessingInstruction(_)
-                | XmlEvent::Doctype(_) => {}
-            }
-        }
-        corpus.num_documents += 1;
+        self.corpus
+            .add_document_with(doc, arena)
+            .inspect_err(|_| dtdinfer_obs::count("engine.parse_errors", 1))?;
         dtdinfer_obs::count("engine.documents", 1);
         Ok(())
     }

@@ -62,7 +62,6 @@ fn snapshots_during_sharded_ingest_are_monotone_and_untorn() {
     // regress, and gauges must never show torn/impossible values.
     let monotone = [
         "engine.documents",
-        "xml.documents",
         "xml.samples.evictions",
         "xml.samples.overflow",
     ];

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Net bytes currently live (alloc − dealloc), signed; see module docs.
 static LIVE: AtomicI64 = AtomicI64::new(0);
-/// High-water mark of `LIVE` since the last [`reset`] / [`phase_begin`].
+/// High-water mark of `LIVE` since the last [`reset`].
 static PEAK: AtomicI64 = AtomicI64::new(0);
 /// Cumulative bytes ever allocated while enabled. Monotone.
 static TOTAL: AtomicU64 = AtomicU64::new(0);
@@ -57,13 +57,6 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Whether this build carries the counting fast path at all. When this
-/// is `false`, [`enable`] is accepted but the allocator never reports
-/// anything (all stats stay zero).
-pub const fn compiled_in() -> bool {
-    cfg!(feature = "alloc-count")
-}
-
 /// A point-in-time copy of the allocator counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -87,40 +80,12 @@ pub fn stats() -> AllocStats {
     }
 }
 
-/// Zeroes every counter. For bench harnesses between repetitions.
+/// Zeroes every counter.
 pub fn reset() {
     LIVE.store(0, Ordering::Relaxed);
     PEAK.store(0, Ordering::Relaxed);
     TOTAL.store(0, Ordering::Relaxed);
     ALLOCATIONS.store(0, Ordering::Relaxed);
-}
-
-/// Marks the start of a measured phase: collapses the peak down to the
-/// current live level so the returned mark's [`PhaseMark::peak_delta`]
-/// reports only memory the phase itself added. Take the mark on the
-/// measuring thread while no other thread allocates heavily, or the
-/// delta attributes concurrent allocations to this phase.
-pub fn phase_begin() -> PhaseMark {
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
-    PhaseMark {
-        live_at_start: live,
-    }
-}
-
-/// Start-of-phase state captured by [`phase_begin`].
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseMark {
-    live_at_start: i64,
-}
-
-impl PhaseMark {
-    /// Peak bytes the phase added on top of what was already live when
-    /// it began. Saturates at zero if the phase only freed memory.
-    pub fn peak_delta(&self) -> u64 {
-        let peak = PEAK.load(Ordering::Relaxed);
-        u64::try_from(peak.saturating_sub(self.live_at_start)).unwrap_or(0)
-    }
 }
 
 /// Allocator hook: records `size` bytes allocated. Public so the
@@ -237,22 +202,6 @@ mod tests {
         // The signed counter is still at -3996; reported live stays 0.
         assert_eq!(stats().live_bytes, 0);
         assert_eq!(stats().total_bytes, 100, "total is unaffected by skew");
-    }
-
-    #[test]
-    fn phase_marks_report_peak_deltas() {
-        let _g = guard();
-        reset();
-        note_alloc(1000); // ambient memory from before the phase
-        let mark = phase_begin();
-        note_alloc(5000);
-        note_dealloc(5000);
-        note_alloc(2000);
-        assert_eq!(mark.peak_delta(), 5000, "transient spike is the peak");
-        // A phase that only frees reports zero, not a wrapped value.
-        let mark = phase_begin();
-        note_dealloc(2000);
-        assert_eq!(mark.peak_delta(), 0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! A minimal JSON writer and reader — just enough for the stable
-//! serialization of metrics snapshots and trace logs, and for parsing the
-//! `BENCH_*.json` reports back in `perfgate compare`, with no
-//! dependencies.
+//! serialization of metrics snapshots and trace logs, and for parsing
+//! them back in tests, with no dependencies.
 
 use std::collections::BTreeMap;
 

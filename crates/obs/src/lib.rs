@@ -12,9 +12,7 @@
 //!   and key/value events, tagged with the recording thread's id and
 //!   collected into a thread-safe in-memory recorder;
 //! * a [`chrome`] exporter rendering a trace as Chrome trace-event JSON
-//!   (loadable in Perfetto / `chrome://tracing`);
-//! * the [`bench`] report model behind `perfgate`'s `BENCH_*.json`
-//!   artifacts and its baseline-vs-candidate regression gate.
+//!   (loadable in Perfetto / `chrome://tracing`).
 //!
 //! ## No-op by default
 //!
@@ -45,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod bench;
 pub mod chrome;
 pub mod flightrec;
 pub mod json;

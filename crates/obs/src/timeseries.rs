@@ -149,11 +149,7 @@ impl Default for SamplerConfig {
         SamplerConfig {
             interval: Duration::from_millis(100),
             capacity: DEFAULT_CAPACITY,
-            watch: vec![
-                "engine.documents".to_owned(),
-                "xml.documents".to_owned(),
-                "fuzz.cases".to_owned(),
-            ],
+            watch: vec!["engine.documents".to_owned(), "fuzz.cases".to_owned()],
             stall_after: 20,
             warn_on_stall: true,
         }

@@ -57,6 +57,36 @@ pub fn dominant_root(roots: &BTreeMap<Sym, u64>, alphabet: &Alphabet) -> Option<
         .map(|(&sym, _)| sym)
 }
 
+/// Reusable parse scratch for [`Corpus::add_document_with`]: the element
+/// stack and a pool of recycled child [`Word`]s. One arena per worker
+/// keeps the steady-state ingestion loop allocation-free for repeated
+/// document shapes — new allocations happen only on first sight of a
+/// distinct child sequence.
+#[derive(Debug, Default)]
+pub struct ParseArena {
+    /// Open-element stack: (element symbol, children seen so far).
+    stack: Vec<(Sym, Word)>,
+    /// Recycled `Word` buffers, refilled as elements close.
+    spare: Vec<Word>,
+}
+
+impl ParseArena {
+    /// A fresh arena.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Returns every in-progress buffer to the spare pool (used after a
+    /// parse error aborts a document mid-way, so the arena is clean for
+    /// the next one).
+    fn recycle(&mut self) {
+        while let Some((_, mut w)) = self.stack.pop() {
+            w.clear();
+            self.spare.push(w);
+        }
+    }
+}
+
 /// A corpus of XML documents reduced to inference-ready statistics.
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
@@ -85,30 +115,37 @@ impl Corpus {
 
     /// Parses one document and folds its statistics in.
     pub fn add_document(&mut self, doc: &str) -> Result<(), XmlError> {
-        let _span = dtdinfer_obs::span("xml.extract_document");
-        // Per-document tallies, flushed to the metrics registry at the end
-        // (one registry lock per document instead of one per event).
-        let (mut n_elems, mut n_attrs, mut n_text) = (0u64, 0u64, 0u64);
+        self.add_document_with(doc, &mut ParseArena::new())
+    }
+
+    /// [`Corpus::add_document`] with caller-owned scratch: a worker that
+    /// ingests many documents reuses one [`ParseArena`], so the
+    /// per-document element stack and child words come from recycled
+    /// buffers. Each closing element adds its child sequence to its
+    /// element's multiset by reference: a shape seen before costs one
+    /// binary search and an increment. The loop touches no metrics
+    /// registry, so callers pay for at most the one count they add.
+    pub fn add_document_with(&mut self, doc: &str, arena: &mut ParseArena) -> Result<(), XmlError> {
         let mut parser = XmlPullParser::new(doc);
-        // Stack of (element symbol, children-so-far).
-        let mut stack: Vec<(Sym, Word)> = Vec::new();
         let mut seen_root = false;
-        while let Some(event) = parser
-            .next()
-            .inspect_err(|_| dtdinfer_obs::count("xml.parse_errors", 1))?
-        {
+        loop {
+            let event = match parser.next() {
+                Ok(Some(event)) => event,
+                Ok(None) => break,
+                Err(e) => {
+                    arena.recycle();
+                    return Err(e);
+                }
+            };
             match event {
                 XmlEvent::StartElement {
                     name, attributes, ..
                 } => {
-                    n_elems += 1;
-                    n_attrs += attributes.len() as u64;
                     let sym = self.alphabet.intern(name);
                     let facts = self.elements.entry(sym).or_default();
                     facts.occurrences += 1;
                     for (attr, value) in &attributes {
-                        // Allocate the attribute name only the first time
-                        // it is seen on this element.
+                        // Allocate the attribute name only on first sight.
                         if let Some(bag) = facts.attributes.get_mut(*attr) {
                             bag.insert(value);
                         } else {
@@ -119,23 +156,29 @@ impl Corpus {
                                 .insert(value);
                         }
                     }
-                    if let Some((_, children)) = stack.last_mut() {
+                    if let Some((_, children)) = arena.stack.last_mut() {
                         children.push(sym);
                     } else if !seen_root {
                         seen_root = true;
                         *self.roots.entry(sym).or_insert(0) += 1;
                     }
-                    stack.push((sym, Word::new()));
+                    let children = arena.spare.pop().unwrap_or_default();
+                    arena.stack.push((sym, children));
                 }
                 XmlEvent::EndElement { .. } => {
-                    let (sym, children) = stack.pop().expect("parser checks balance");
-                    self.elements.entry(sym).or_default().words.insert(children);
+                    let (sym, mut children) = arena.stack.pop().expect("parser checks balance");
+                    self.elements
+                        .entry(sym)
+                        .or_default()
+                        .words
+                        .insert_ref(&children);
+                    children.clear();
+                    arena.spare.push(children);
                 }
                 XmlEvent::Text(text) => {
                     let trimmed = text.trim();
                     if !trimmed.is_empty() {
-                        n_text += 1;
-                        if let Some(&mut (sym, _)) = stack.last_mut() {
+                        if let Some(&mut (sym, _)) = arena.stack.last_mut() {
                             self.elements
                                 .entry(sym)
                                 .or_default()
@@ -150,10 +193,6 @@ impl Corpus {
             }
         }
         self.num_documents += 1;
-        dtdinfer_obs::count("xml.documents", 1);
-        dtdinfer_obs::count("xml.elements", n_elems);
-        dtdinfer_obs::count("xml.attributes", n_attrs);
-        dtdinfer_obs::count("xml.text_chunks", n_text);
         Ok(())
     }
 

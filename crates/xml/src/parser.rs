@@ -49,66 +49,6 @@ pub enum XmlEvent<'a> {
     Doctype(&'a str),
 }
 
-impl XmlEvent<'_> {
-    /// Copies the event into an owned form. This is the reference shim for
-    /// consumers (and tests) that need events to outlive the buffer; the
-    /// hot paths never call it.
-    pub fn to_owned_event(&self) -> OwnedXmlEvent {
-        match self {
-            XmlEvent::StartElement {
-                name,
-                attributes,
-                self_closing,
-            } => OwnedXmlEvent::StartElement {
-                name: (*name).to_owned(),
-                attributes: attributes
-                    .iter()
-                    .map(|(a, v)| ((*a).to_owned(), v.clone().into_owned()))
-                    .collect(),
-                self_closing: *self_closing,
-            },
-            XmlEvent::EndElement { name } => OwnedXmlEvent::EndElement {
-                name: (*name).to_owned(),
-            },
-            XmlEvent::Text(t) => OwnedXmlEvent::Text(t.clone().into_owned()),
-            XmlEvent::Comment(c) => OwnedXmlEvent::Comment((*c).to_owned()),
-            XmlEvent::ProcessingInstruction(p) => {
-                OwnedXmlEvent::ProcessingInstruction((*p).to_owned())
-            }
-            XmlEvent::Doctype(d) => OwnedXmlEvent::Doctype((*d).to_owned()),
-        }
-    }
-}
-
-/// An owned copy of an [`XmlEvent`] — the pre-zero-copy event shape, kept
-/// as a reference implementation so equivalence tests can compare the
-/// borrowed parser against an owned replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OwnedXmlEvent {
-    /// `<name attr="v" …>`.
-    StartElement {
-        /// Element name.
-        name: String,
-        /// Attributes in document order.
-        attributes: Vec<(String, String)>,
-        /// Whether the tag closed itself.
-        self_closing: bool,
-    },
-    /// `</name>`.
-    EndElement {
-        /// Element name.
-        name: String,
-    },
-    /// Character data or CDATA content.
-    Text(String),
-    /// Comment content.
-    Comment(String),
-    /// Processing instruction.
-    ProcessingInstruction(String),
-    /// Skipped DOCTYPE declaration.
-    Doctype(String),
-}
-
 /// Parse error with position information.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XmlError {
@@ -898,21 +838,5 @@ mod tests {
             names("<livre><tête/><café>ü</café></livre>"),
             vec!["livre", "tête", "café"]
         );
-    }
-
-    #[test]
-    fn owned_shim_mirrors_borrowed_events() {
-        let doc = r#"<a x="1 &amp; 2"><!--c--><b>t</b><?pi d?></a>"#;
-        let owned: Vec<OwnedXmlEvent> = events(doc).iter().map(XmlEvent::to_owned_event).collect();
-        assert_eq!(
-            owned[0],
-            OwnedXmlEvent::StartElement {
-                name: "a".to_owned(),
-                attributes: vec![("x".to_owned(), "1 & 2".to_owned())],
-                self_closing: false,
-            }
-        );
-        assert!(matches!(&owned[1], OwnedXmlEvent::Comment(c) if c == "c"));
-        assert!(matches!(&owned[3], OwnedXmlEvent::Text(t) if t == "t"));
     }
 }

@@ -1,6 +1,5 @@
 //! Properties of the streaming ingestion pipeline: generated documents
-//! round trip through parse → extract, the borrowed event stream is
-//! indistinguishable from its owned shim, sharded ingestion of generated
+//! round trip through parse → extract, sharded ingestion of generated
 //! corpora is deterministic, reservoirs stay bounded on corpora far past
 //! their cap, and strict entity errors carry exact positions.
 
@@ -8,7 +7,7 @@ use dtdinfer_engine::pool::ingest;
 use dtdinfer_engine::snapshot;
 use dtdinfer_xml::extract::Corpus;
 use dtdinfer_xml::infer::{infer_dtd, InferenceEngine};
-use dtdinfer_xml::parser::{encode_entities, OwnedXmlEvent, XmlEvent, XmlPullParser};
+use dtdinfer_xml::parser::{encode_entities, XmlPullParser};
 use dtdinfer_xml::samples::DEFAULT_SAMPLE_CAP;
 use proptest::prelude::*;
 
@@ -163,38 +162,6 @@ proptest! {
             .map(|b| b.total())
             .sum();
         prop_assert_eq!(observed, attrs);
-    }
-
-    /// Every borrowed event deep-copies to an owned event describing the
-    /// same thing — the zero-copy stream loses nothing.
-    #[test]
-    fn borrowed_events_match_owned_shim(tree in tree_strategy()) {
-        let mut doc = String::new();
-        tree.serialize(&mut doc);
-        let mut parser = XmlPullParser::new(&doc);
-        while let Some(ev) = parser.next().expect("generated document parses") {
-            match (&ev, ev.to_owned_event()) {
-                (
-                    XmlEvent::StartElement { name, attributes, self_closing },
-                    OwnedXmlEvent::StartElement { name: on, attributes: oa, self_closing: os },
-                ) => {
-                    prop_assert_eq!(*name, on.as_str());
-                    prop_assert_eq!(*self_closing, os);
-                    prop_assert_eq!(attributes.len(), oa.len());
-                    for ((k, v), (ok, ov)) in attributes.iter().zip(&oa) {
-                        prop_assert_eq!(*k, ok.as_str());
-                        prop_assert_eq!(v.as_ref(), ov.as_str());
-                    }
-                }
-                (XmlEvent::EndElement { name }, OwnedXmlEvent::EndElement { name: on }) => {
-                    prop_assert_eq!(*name, on.as_str());
-                }
-                (XmlEvent::Text(t), OwnedXmlEvent::Text(ot)) => {
-                    prop_assert_eq!(t.as_ref(), ot.as_str());
-                }
-                (b, o) => prop_assert!(false, "event shape changed: {b:?} vs {o:?}"),
-            }
-        }
     }
 
     /// Sharded ingestion of a generated corpus is byte-identical to
