@@ -205,7 +205,9 @@ impl ObsOptions {
             .sampler
             .take()
             .map(dtdinfer_obs::timeseries::Sampler::stop);
-        if dtdinfer_obs::metrics_enabled() {
+        // Only a binary with its own counting allocator has `alloc.*`
+        // figures; elsewhere the gauges would read 0 as if measured.
+        if cfg!(feature = "alloc-count") && dtdinfer_obs::metrics_enabled() {
             dtdinfer_obs::alloc::publish_gauges();
         }
         if self.verbose {

@@ -329,6 +329,73 @@ fn serve_round_trip_through_binary() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// SIGTERM stops an idle daemon within 100 ms and still flushes the
+/// journal into the session's snapshot. A child process, because the
+/// signal flag is process-global.
+#[cfg(unix)]
+#[test]
+fn serve_stops_promptly_on_sigterm_and_flushes() {
+    use std::io::{Read as _, Write as _};
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+    let dir = tempdir().join("sigterm-data");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut child = bin()
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--data-dir",
+            dir.to_str().unwrap(),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stderr = child.stderr.take().expect("piped stderr");
+    let mut announced = String::new();
+    let mut byte = [0u8; 1];
+    while !announced.contains('\n') && stderr.read(&mut byte).unwrap_or(0) == 1 {
+        announced.push(byte[0] as char);
+    }
+    let addr = announced.rsplit("http://").next().unwrap_or("").trim();
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    let body = "<r><a/></r>";
+    write!(
+        s,
+        "POST /sessions/s/ingest HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut reply = String::new();
+    s.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    assert!(
+        !dir.join("s.snap").exists(),
+        "nothing compacts before shutdown"
+    );
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let signalled = std::time::Instant::now();
+    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    };
+    let took = signalled.elapsed();
+    assert!(status.success(), "{status:?}");
+    assert!(
+        took < std::time::Duration::from_millis(100),
+        "stopped after {took:?}"
+    );
+    let snap = std::fs::read_to_string(dir.join("s.snap")).expect("flushed snapshot");
+    assert!(snap.contains("documents 1"), "{snap}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn infer_xsd_output() {
     let dir = tempdir();

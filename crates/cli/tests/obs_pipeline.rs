@@ -242,6 +242,21 @@ fn profile_reports_the_allocator_exactly_when_the_binary_counts() {
 }
 
 #[test]
+fn metrics_carry_allocator_gauges_exactly_when_the_binary_counts() {
+    let mut args = vec!["infer".to_owned(), "--metrics".to_owned(), "-".to_owned()];
+    args.extend(corpus_files());
+    let argv: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (stdout, stderr, ok) = run_with_stdin(&argv, "");
+    assert!(ok, "infer failed: {stderr}");
+    let metrics = stdout.lines().last().expect("metrics line");
+    assert_eq!(
+        metrics.contains("\"alloc."),
+        cfg!(feature = "alloc-count"),
+        "{metrics}"
+    );
+}
+
+#[test]
 fn profile_without_inputs_fails() {
     let (_, stderr, ok) = run_with_stdin(&["profile"], "");
     assert!(!ok);

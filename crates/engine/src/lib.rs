@@ -283,6 +283,16 @@ mod tests {
     }
 
     #[test]
+    fn parse_error_carries_source_when_named() {
+        let mut state = EngineState::new();
+        let err = state
+            .absorb_document_from("<r><a></r>", "corpus/broken.xml")
+            .unwrap_err();
+        assert_eq!(err.source.as_deref(), Some("corpus/broken.xml"));
+        assert!(err.to_string().starts_with("corpus/broken.xml: "));
+    }
+
+    #[test]
     fn xsd_from_facts_corpus_matches_corpus_path() {
         use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
         let docs = docs();

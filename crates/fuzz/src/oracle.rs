@@ -12,6 +12,7 @@
 //! | `ordering.kore-within-idtd` | when both derivations are repair-free, L(k-ORE) ⊆ L(SORE): folding occurrences only generalizes |
 //! | `identity.shards` | `--jobs N` derivation is byte-identical to sequential inference |
 //! | `identity.snapshot` | snapshot save → load → save is the identity and derives identically |
+//! | `identity.incremental` | a derivation updated step by step equals a cold derive after every step |
 //! | `determinism.one-unambiguous` | every emitted content model is deterministic (XML spec appendix E) |
 //! | `roundtrip.dtd` | serialize → parse → serialize is a fixpoint and still validates the corpus |
 //! | `roundtrip.xsd` | emitted XSD is well-formed XML and emission is stable |
@@ -32,14 +33,14 @@ use dtdinfer_regex::display::render_dtd;
 use dtdinfer_xml::diff::{compare_regexes, Relation};
 use dtdinfer_xml::dtd::{ContentSpec, Dtd};
 use dtdinfer_xml::extract::Corpus;
-use dtdinfer_xml::infer::{infer_dtd_with_stats, InferenceEngine};
+use dtdinfer_xml::infer::{infer_dtd_with_stats, Derivation, InferenceEngine};
 use dtdinfer_xml::parser::XmlPullParser;
 use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
 
 /// Every oracle name, in report order. `corpus.generate` is charged by the
 /// driver (a target DTD that cannot produce documents is itself a bug);
 /// the rest are charged by [`check_case`].
-pub const ORACLES: [&str; 15] = [
+pub const ORACLES: [&str; 16] = [
     "corpus.generate",
     "corpus.parse",
     "membership.crx",
@@ -52,6 +53,7 @@ pub const ORACLES: [&str; 15] = [
     "ordering.kore-within-idtd",
     "identity.shards",
     "identity.snapshot",
+    "identity.incremental",
     "determinism.one-unambiguous",
     "roundtrip.dtd",
     "roundtrip.xsd",
@@ -453,6 +455,43 @@ pub fn check_case(target: Option<&Dtd>, docs: &[String], opts: &OracleOptions) -
             Err(e) => out.violation("identity.snapshot", format!("ingest: {e}")),
         }
         out.checked.push("identity.snapshot");
+    }
+
+    // identity.incremental: serve's warm path. One derivation per engine
+    // absorbs the documents in steps ending at documents 1, 2, 4, 8, …
+    // and the last; after each step it must equal a cold derive of the
+    // same prefix (after the last, the sequential DTD). Serve's default
+    // engine and `auto`, which runs every learner and whose model cost
+    // reads the alphabet size, cover the cache's cases.
+    if want("identity.incremental") && !docs.is_empty() {
+        let engines = [
+            (InferenceEngine::Idtd, &idtd_dtd),
+            (InferenceEngine::Auto, &auto_dtd),
+        ];
+        let mut warm = engines.map(|(engine, _)| Derivation::new(engine));
+        let mut prefix = Corpus::new();
+        for (i, d) in docs.iter().enumerate() {
+            prefix.add_document(d).expect("the corpus parsed above");
+            let seen = i + 1;
+            if !seen.is_power_of_two() && seen != docs.len() {
+                continue;
+            }
+            for ((engine, sequential), derivation) in engines.iter().zip(&mut warm) {
+                derivation.update(&prefix);
+                let cold = if seen == docs.len() {
+                    sequential.serialize()
+                } else {
+                    infer_dtd_with_stats(&prefix, *engine).0.serialize()
+                };
+                if derivation.dtd().serialize() != cold {
+                    out.violation(
+                        "identity.incremental",
+                        format!("{engine:?} after {seen} document(s): warm DTD differs from cold"),
+                    );
+                }
+            }
+        }
+        out.checked.push("identity.incremental");
     }
 
     // determinism.one-unambiguous: every emitted content model must be

@@ -12,7 +12,7 @@
 //! equal/stricter/looser/incomparable by the DFA-based schema diff).
 //!
 //! The daemon is std-only like the rest of the workspace: a hand-rolled
-//! HTTP/1.1 codec ([`http`]), a nonblocking accept loop feeding a bounded
+//! HTTP/1.1 codec ([`http`]), a blocking accept loop feeding a bounded
 //! connection queue (load-shedding with 503 when full), and a small fixed
 //! worker pool. Durability is snapshot + journal per session
 //! ([`dtdinfer_engine::journal`]): every acknowledged ingest is journaled
@@ -62,10 +62,11 @@ use dtdinfer_obs::timeseries::{Sampler, SamplerConfig};
 use dtdinfer_xml::infer::InferenceEngine;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything `run` needs to know, with defaults a quickstart can keep.
@@ -145,41 +146,35 @@ impl Shared {
     }
 }
 
-/// Bounded exponential backoff for the poll-accept loop. A fixed-rate
-/// sleep either wastes wakeups when idle or adds latency under load; this
-/// polls tightly right after activity (1 ms) and decays ×2 per empty poll
-/// to a 16 ms ceiling, so an idle daemon parks most of the time while the
-/// shutdown flag is still noticed within one ceiling interval.
-struct AcceptBackoff {
-    current: Duration,
-}
+/// How often the shutdown watcher looks at the shutdown flags.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(20);
 
-impl AcceptBackoff {
-    const FLOOR: Duration = Duration::from_millis(1);
-    const CEIL: Duration = Duration::from_millis(16);
-
-    fn new() -> AcceptBackoff {
-        AcceptBackoff {
-            current: Self::FLOOR,
+/// Starts the thread that wakes the blocking accept loop for shutdown:
+/// it looks at both shutdown triggers every [`SHUTDOWN_POLL`] and, once
+/// one fired, connects to the listener so `accept` returns and the loop
+/// sees the flag. A daemon bound to an unspecified address is reached
+/// over loopback.
+fn spawn_shutdown_watcher(shared: &Arc<Shared>, bound: SocketAddr) -> JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    let mut wake = bound;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    std::thread::spawn(move || {
+        while !shared.shutting_down() {
+            std::thread::sleep(SHUTDOWN_POLL);
         }
-    }
-
-    /// Back to the tight poll interval — call on any accepted connection.
-    fn reset(&mut self) {
-        self.current = Self::FLOOR;
-    }
-
-    /// Parks the calling thread for the current interval, then doubles it
-    /// up to the ceiling. `park_timeout` may return early (spurious or
-    /// explicit unpark) — harmless here, the loop just polls again.
-    fn park(&mut self) {
-        std::thread::park_timeout(self.current);
-        self.current = (self.current * 2).min(Self::CEIL);
-    }
+        if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+            eprintln!("dtdinfer serve: waking the accept loop via {wake}: {e}");
+        }
+    })
 }
 
 /// OS signal plumbing: SIGINT/SIGTERM flip one process-global flag the
-/// accept loop polls. Registered through the C `signal` symbol directly —
+/// shutdown watcher polls. Registered through the C `signal` symbol directly —
 /// the workspace links libc through std anyway and takes no new crates.
 #[cfg(unix)]
 mod signals {
@@ -239,11 +234,8 @@ pub fn run(config: ServeConfig, on_ready: impl FnOnce(&str)) -> Result<String, S
     publish_build_info();
     let access_log = open_access_log(config.access_log.as_deref())?;
     let listener = TcpListener::bind(&config.addr).map_err(|e| format!("{}: {e}", config.addr))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| e.to_string())?
-        .to_string();
-    listener.set_nonblocking(true).map_err(|e| e.to_string())?;
+    let bound = listener.local_addr().map_err(|e| e.to_string())?;
+    let local = bound.to_string();
     signals::install();
 
     let shared = Arc::new(Shared {
@@ -275,14 +267,16 @@ pub fn run(config: ServeConfig, on_ready: impl FnOnce(&str)) -> Result<String, S
         })
         .collect();
 
-    // Accept loop: poll-accept so the shutdown flag is noticed promptly,
-    // with bounded backoff between empty polls instead of a fixed-rate
-    // spin.
-    let mut backoff = AcceptBackoff::new();
-    while !shared.shutting_down() {
-        match listener.accept() {
+    // Accept loop: block in `accept`; the watcher's connection wakes it
+    // for shutdown, so the flag is checked after every accept.
+    let watcher = spawn_shutdown_watcher(&shared, bound);
+    loop {
+        let accepted = listener.accept();
+        if shared.shutting_down() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                backoff.reset();
                 dtdinfer_obs::count("serve.http.accepted", 1);
                 let mut queue = shared.queue.lock().expect("queue lock");
                 if queue.len() >= shared.config.queue_depth {
@@ -296,12 +290,13 @@ pub fn run(config: ServeConfig, on_ready: impl FnOnce(&str)) -> Result<String, S
                     shared.queue_cv.notify_one();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                backoff.park();
-            }
             Err(e) => return Err(format!("accept: {e}")),
         }
     }
+    let _ = watcher.join();
+    // Take the queue lock before notifying, so a worker between its flag
+    // check and its wait cannot miss the wakeup.
+    drop(shared.queue.lock().expect("queue lock"));
     shared.queue_cv.notify_all();
     for worker in workers {
         let _ = worker.join();
@@ -932,35 +927,4 @@ fn subscribe(shared: &Shared, name: &str, stream: &mut TcpStream) -> Routed {
     }
     session.subscribe(adopted);
     Routed::Streaming
-}
-
-#[cfg(test)]
-mod backoff_tests {
-    use super::AcceptBackoff;
-
-    #[test]
-    fn accept_backoff_doubles_to_ceiling_and_resets() {
-        let mut b = AcceptBackoff::new();
-        assert_eq!(b.current, AcceptBackoff::FLOOR);
-        let mut seen = Vec::new();
-        for _ in 0..8 {
-            seen.push(b.current);
-            // Advance the schedule without actually parking the test.
-            b.current = (b.current * 2).min(AcceptBackoff::CEIL);
-        }
-        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "monotone: {seen:?}");
-        assert_eq!(b.current, AcceptBackoff::CEIL, "bounded above");
-        b.reset();
-        assert_eq!(b.current, AcceptBackoff::FLOOR, "activity resets");
-    }
-
-    #[test]
-    fn accept_backoff_park_is_bounded() {
-        let mut b = AcceptBackoff::new();
-        let started = std::time::Instant::now();
-        b.park();
-        // One floor-interval park, with generous scheduling slack.
-        assert!(started.elapsed() < AcceptBackoff::CEIL * 20);
-        assert_eq!(b.current, AcceptBackoff::FLOOR * 2);
-    }
 }

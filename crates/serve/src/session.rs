@@ -1,14 +1,15 @@
 //! One schema session: a named, journaled, warm incremental engine state.
 //!
 //! A session is the daemon's unit of tenancy. Each wraps an
-//! [`EngineState`] (the paper's compact learner state — SOA, CRX summary,
-//! and reservoirs, no raw corpus) plus a [`Store`] whose snapshot and
-//! journal make every acknowledged ingest durable: the journal record is
-//! flushed to the OS *before* the document is absorbed, so a `kill -9`
-//! after the HTTP 200 never loses data. Derived DTDs are cached and
-//! invalidated on ingest; each ingest request is classified against the
-//! previous schema with the DFA-based diff and broadcast to SSE
-//! subscribers as one drift event.
+//! [`EngineState`] (each element's counted child-word multiset, value
+//! reservoirs and occurrence count, no raw corpus) plus a [`Store`]
+//! whose snapshot and journal make every acknowledged ingest durable:
+//! the journal record is flushed to the OS *before* the document is
+//! absorbed, so a `kill -9` after the HTTP 200 never loses data. The
+//! derived DTD lives in a [`Derivation`] beside the state, so an ingest
+//! re-learns only the elements its documents touched; each ingest
+//! request is classified against the previous schema with the DFA-based
+//! diff and broadcast to SSE subscribers as one drift event.
 
 use crate::http;
 use dtdinfer_engine::journal::Store;
@@ -16,7 +17,7 @@ use dtdinfer_engine::EngineState;
 use dtdinfer_obs::json::{write_key, write_string};
 use dtdinfer_xml::diff::{diff, ElementDiff, Relation};
 use dtdinfer_xml::dtd::Dtd;
-use dtdinfer_xml::infer::InferenceEngine;
+use dtdinfer_xml::infer::{Derivation, InferenceEngine};
 use dtdinfer_xml::parser::XmlPullParser;
 use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
 use std::io::Write;
@@ -85,10 +86,9 @@ pub struct Session {
     pub state: EngineState,
     /// Snapshot + journal persistence.
     pub store: Store,
-    /// Which learner derives the schema.
-    pub engine: InferenceEngine,
-    /// Cached derivation, invalidated on ingest.
-    cached_dtd: Option<Dtd>,
+    /// The schema derived from `state` by the session's learner, brought
+    /// up to date element by element.
+    derivation: Derivation,
     /// Open SSE subscriber streams; dead ones are dropped on write error.
     pub subscribers: Vec<TcpStream>,
     /// Monotone event sequence for SSE `id:` lines.
@@ -112,8 +112,7 @@ impl Session {
                 name: name.to_owned(),
                 state,
                 store,
-                engine,
-                cached_dtd: None,
+                derivation: Derivation::new(engine),
                 subscribers: Vec::new(),
                 event_seq: 0,
             },
@@ -121,21 +120,19 @@ impl Session {
         ))
     }
 
-    /// The current derived DTD (cached until the next ingest).
+    /// The current derived DTD. The first call after `open` derives every
+    /// element; later calls re-learn only what changed, usually nothing.
     pub fn dtd(&mut self) -> &Dtd {
-        if self.cached_dtd.is_none() {
-            let (dtd, _) = self.state.derive(self.engine);
-            self.cached_dtd = Some(dtd);
-        }
-        self.cached_dtd.as_ref().expect("just derived")
+        self.derivation.update(&self.state);
+        self.derivation.dtd()
     }
 
     /// The current schema as an XSD (same rendering as
     /// `dtdinfer infer --xsd --jobs N`).
     pub fn xsd(&mut self) -> String {
-        self.dtd();
+        self.derivation.update(&self.state);
         generate_xsd(
-            self.cached_dtd.as_ref().expect("just derived"),
+            self.derivation.dtd(),
             Some(&self.state.corpus),
             XsdOptions {
                 numeric_threshold: None,
@@ -151,8 +148,9 @@ impl Session {
 
     /// Ingests a batch of pre-parse-checked documents: journal first (one
     /// record per document, durable before the HTTP 200), then absorb,
-    /// then classify the schema movement and broadcast one drift event.
-    /// Compacts afterwards when the journal has outgrown the snapshot.
+    /// re-learn the elements the documents touched, classify the schema
+    /// movement and broadcast one drift event. Compacts afterwards when
+    /// the journal has outgrown the snapshot.
     pub fn ingest(
         &mut self,
         docs: &[&str],
@@ -165,9 +163,7 @@ impl Session {
                 .absorb_document(doc)
                 .map_err(|e| format!("absorb failed after parse check: {e}"))?;
         }
-        self.cached_dtd = None;
-        let after = self.dtd().clone();
-        let diffs = diff(&before, &after);
+        let diffs = diff(&before, self.dtd());
         let relation = classify_drift(&diffs);
         let changed: Vec<ElementDiff> = diffs
             .into_iter()

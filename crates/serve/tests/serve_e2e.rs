@@ -117,6 +117,110 @@ fn ingest_then_dtd_matches_sequential_inference() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A small seeded generator (xorshift64*), so the random ingest sequence
+/// below is the same on every run.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+    }
+}
+
+/// Record types of the random ingest sequence; each document touches one.
+const RECORDS: [&str; 6] = ["m", "c", "p", "t", "e", "r"];
+/// Leaf names, released a few at a time so the alphabet grows midway
+/// while most record types sit untouched.
+const LEAVES: [&str; 8] = ["x", "b", "y", "a", "z", "k", "n", "d"];
+
+/// One random document: a `feed` root over one record whose children
+/// are drawn from `leaves`, some with an attribute value or text.
+fn random_document(rng: &mut Rng, leaves: &[&str]) -> String {
+    let record = RECORDS[rng.below(RECORDS.len() as u64) as usize];
+    let mut doc = format!("<feed><{record}>");
+    for _ in 0..=rng.below(3) {
+        let leaf = leaves[rng.below(leaves.len() as u64) as usize];
+        match rng.below(3) {
+            0 => doc.push_str(&format!("<{leaf}/>")),
+            1 => doc.push_str(&format!("<{leaf} k=\"v{}\"/>", rng.below(3))),
+            _ => doc.push_str(&format!("<{leaf}>t</{leaf}>")),
+        }
+    }
+    doc.push_str(&format!("</{record}></feed>"));
+    doc
+}
+
+/// Every ingest reply of a seeded random sequence (batches of one to
+/// three documents, new names arriving as it goes) equals the reply
+/// computed from two cold derivations, and the served DTD ends equal to
+/// a cold derive: the session's warm derivation is invisible on the wire.
+#[test]
+fn random_ingest_replies_match_cold_derivations() {
+    use dtdinfer_serve::session::{classify_drift, ingest_json, IngestOutcome};
+    use dtdinfer_xml::diff::{diff, Relation};
+    let dir = scratch("random");
+    let server = boot(&dir, |c| c.engine = InferenceEngine::Auto);
+    let mut rng = Rng(0x5EED_1234_ABCD_0001);
+    let mut state = dtdinfer_engine::EngineState::new();
+    let mut before = state.derive(InferenceEngine::Auto).0;
+    for seq in 1..=48u64 {
+        let leaves = &LEAVES[..(3 + seq as usize / 8).min(LEAVES.len())];
+        let batch: Vec<String> = (0..=rng.below(3))
+            .map(|_| random_document(&mut rng, leaves))
+            .collect();
+        let (status, reply) = post(
+            &server.addr,
+            "/sessions/r/ingest?mode=ndxml",
+            &batch.join("\n"),
+        );
+        assert_eq!(status, 200, "{reply}");
+        for doc in &batch {
+            state.absorb_document(doc).unwrap();
+        }
+        let after = state.derive(InferenceEngine::Auto).0;
+        let diffs = diff(&before, &after);
+        let outcome = IngestOutcome {
+            ingested: batch.len() as u64,
+            relation: classify_drift(&diffs),
+            changed: diffs
+                .into_iter()
+                .filter(|d| d.relation != Relation::Equal)
+                .collect(),
+            seq,
+        };
+        assert_eq!(
+            reply,
+            ingest_json("r", &outcome, state.num_documents),
+            "ingest {seq}"
+        );
+        before = after;
+    }
+    let (status, served) = get(&server.addr, "/sessions/r/dtd");
+    assert_eq!(status, 200);
+    assert_eq!(served, before.serialize());
+    post(&server.addr, "/shutdown", "");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With nothing in flight, the daemon is gone within 100 ms of the reply
+/// to `POST /shutdown`: the blocking accept is woken, not polled.
+#[test]
+fn idle_daemon_stops_promptly_after_shutdown_request() {
+    let dir = scratch("idle-stop");
+    let server = boot(&dir, |_| {});
+    std::thread::sleep(Duration::from_millis(200));
+    let (status, _) = post(&server.addr, "/shutdown", "");
+    assert_eq!(status, 200);
+    let replied = std::time::Instant::now();
+    server.thread.join().unwrap().unwrap();
+    let took = replied.elapsed();
+    assert!(took < Duration::from_millis(100), "stopped after {took:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn ndxml_batch_ingest_and_listing() {
     let dir = scratch("batch");

@@ -160,11 +160,9 @@ pub fn infer_contextual(corpus: &ContextualCorpus, engine: InferenceEngine) -> C
     type PerElement = BTreeMap<Sym, Vec<(Option<Sym>, Option<Regex>)>>;
     let mut per_element: PerElement = BTreeMap::new();
     for ((parent, element), bag) in contexts {
-        let facts = ElementFacts {
-            words: bag.map_symbols(map),
-            ..ElementFacts::default()
-        };
-        let model = match infer_element(&alphabet, element, &facts, engine).0 {
+        let words = bag.map_symbols(map);
+        let spec = infer_element(&alphabet, element, &words, &ElementFacts::default(), engine).0;
+        let model = match spec {
             ContentSpec::Children(r) => Some(r),
             _ => None,
         };

@@ -12,6 +12,7 @@ use crate::dtd::{ContentSpec, Dtd};
 use dtdinfer_automata::dfa::{dfa_subset, joint_alphabet, Dfa};
 use dtdinfer_regex::alphabet::{Alphabet, Word};
 use dtdinfer_regex::ast::Regex;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Relationship between the content models of one element in two DTDs.
@@ -69,28 +70,25 @@ pub struct ElementDiff {
 /// Compares `second` against `first` (order matters: `Stricter` means the
 /// second is stricter). Elements are matched by name.
 pub fn diff(first: &Dtd, second: &Dtd) -> Vec<ElementDiff> {
-    let mut names: Vec<String> = first
+    let mut seen: HashSet<&str> = HashSet::new();
+    let names: Vec<&str> = first
         .elements
         .keys()
-        .map(|&s| first.alphabet.name(s).to_owned())
+        .map(|&s| first.alphabet.name(s))
+        .chain(second.elements.keys().map(|&s| second.alphabet.name(s)))
+        .filter(|name| seen.insert(name))
         .collect();
-    for &s in second.elements.keys() {
-        let n = second.alphabet.name(s).to_owned();
-        if !names.contains(&n) {
-            names.push(n);
-        }
-    }
     names
         .into_iter()
         .map(|name| {
             let a = first
                 .alphabet
-                .get(&name)
+                .get(name)
                 .and_then(|s| first.elements.get(&s))
                 .map(|spec| (spec, &first.alphabet));
             let b = second
                 .alphabet
-                .get(&name)
+                .get(name)
                 .and_then(|s| second.elements.get(&s))
                 .map(|spec| (spec, &second.alphabet));
             let relation = match (a, b) {
@@ -99,7 +97,10 @@ pub fn diff(first: &Dtd, second: &Dtd) -> Vec<ElementDiff> {
                 (None, Some(_)) => Relation::OnlyInSecond,
                 (Some((sa, ala)), Some((sb, alb))) => compare_specs(sa, ala, sb, alb),
             };
-            ElementDiff { name, relation }
+            ElementDiff {
+                name: name.to_owned(),
+                relation,
+            }
         })
         .collect()
 }
@@ -151,8 +152,14 @@ fn compare_specs(a: &ContentSpec, al_a: &Alphabet, b: &ContentSpec, al_b: &Alpha
 }
 
 /// Language comparison of two expressions over (possibly) different
-/// alphabets, by name-aligning the symbols into a common alphabet.
+/// alphabets, by name-aligning the symbols into a common alphabet. Two
+/// expressions that are the same symbol for symbol by name are `Equal`
+/// without building an automaton, which is the common case when a schema
+/// is compared with its own previous version.
 pub fn compare_regexes(ra: &Regex, al_a: &Alphabet, rb: &Regex, al_b: &Alphabet) -> Relation {
+    if same_expression(ra, al_a, rb, al_b) {
+        return Relation::Equal;
+    }
     let mut common = Alphabet::new();
     let map_a = remap(ra, al_a, &mut common);
     let map_b = remap(rb, al_b, &mut common);
@@ -164,6 +171,28 @@ pub fn compare_regexes(ra: &Regex, al_a: &Alphabet, rb: &Regex, al_b: &Alphabet)
         (true, false) => Relation::Stricter,
         (false, true) => Relation::Looser,
         (false, false) => Relation::Incomparable,
+    }
+}
+
+/// Whether `ra` and `rb` are the same expression tree with the same
+/// element name at every leaf.
+fn same_expression(ra: &Regex, al_a: &Alphabet, rb: &Regex, al_b: &Alphabet) -> bool {
+    let all_same = |xs: &[Regex], ys: &[Regex]| {
+        xs.len() == ys.len()
+            && xs
+                .iter()
+                .zip(ys)
+                .all(|(x, y)| same_expression(x, al_a, y, al_b))
+    };
+    match (ra, rb) {
+        (Regex::Symbol(x), Regex::Symbol(y)) => al_a.name(*x) == al_b.name(*y),
+        (Regex::Concat(xs), Regex::Concat(ys)) | (Regex::Union(xs), Regex::Union(ys)) => {
+            all_same(xs, ys)
+        }
+        (Regex::Optional(x), Regex::Optional(y))
+        | (Regex::Plus(x), Regex::Plus(y))
+        | (Regex::Star(x), Regex::Star(y)) => same_expression(x, al_a, y, al_b),
+        _ => false,
     }
 }
 

@@ -107,12 +107,6 @@ impl Corpus {
         Self::default()
     }
 
-    /// Parses one document and folds its statistics in, attributing any
-    /// parse error to `source` (usually the file path).
-    pub fn add_document_from(&mut self, doc: &str, source: &str) -> Result<(), XmlError> {
-        self.add_document(doc).map_err(|e| e.with_source(source))
-    }
-
     /// Parses one document and folds its statistics in.
     pub fn add_document(&mut self, doc: &str) -> Result<(), XmlError> {
         self.add_document_with(doc, &mut ParseArena::new())
@@ -193,17 +187,6 @@ impl Corpus {
             }
         }
         self.num_documents += 1;
-        Ok(())
-    }
-
-    /// Adds many documents, stopping at the first parse error.
-    pub fn add_documents<'a, I: IntoIterator<Item = &'a str>>(
-        &mut self,
-        docs: I,
-    ) -> Result<(), XmlError> {
-        for d in docs {
-            self.add_document(d)?;
-        }
         Ok(())
     }
 
@@ -325,16 +308,6 @@ mod tests {
         let ids = &c.elements[&r].attributes["k"];
         assert_eq!(ids.distinct_retained(), cap);
         assert_eq!(ids.total(), (cap * 10) as u64);
-    }
-
-    #[test]
-    fn parse_error_carries_source_when_named() {
-        let mut c = Corpus::new();
-        let err = c
-            .add_document_from("<r><a></r>", "corpus/broken.xml")
-            .unwrap_err();
-        assert_eq!(err.source.as_deref(), Some("corpus/broken.xml"));
-        assert!(err.to_string().starts_with("corpus/broken.xml: "));
     }
 
     #[test]

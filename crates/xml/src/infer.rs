@@ -15,6 +15,7 @@ use dtdinfer_core::kore::{pick_auto, KoreState};
 use dtdinfer_core::model::InferredModel;
 use dtdinfer_core::noise::SupportSoa;
 use dtdinfer_regex::alphabet::{Alphabet, Sym};
+use dtdinfer_regex::multiset::WordBag;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -88,41 +89,154 @@ pub struct ElementReport {
 
 /// Like [`infer_dtd`], additionally returning one [`ElementReport`] per
 /// element (sorted by element name, matching corpus iteration order).
+/// This is a fresh [`Derivation`] updated once, so a cold derive and a
+/// warm one run the same per-element code.
 pub fn infer_dtd_with_stats(corpus: &Corpus, engine: InferenceEngine) -> (Dtd, Vec<ElementReport>) {
-    let _span = dtdinfer_obs::span("xml.infer_dtd");
-    // Canonicalize so document arrival order cannot leak into the output:
-    // every learner breaks ties in symbol order, which equals name order
-    // after this remap. The returned DTD's alphabet is the canonical one.
-    let corpus = &corpus.canonicalized();
-    let mut dtd = Dtd {
-        alphabet: corpus.alphabet.clone(),
-        root: corpus.root(),
-        elements: Default::default(),
-        attlists: Default::default(),
-    };
-    let mut reports = Vec::with_capacity(corpus.elements.len());
-    for (&sym, facts) in &corpus.elements {
-        let (spec, attlist, report) = infer_element(&corpus.alphabet, sym, facts, engine);
-        if dtdinfer_obs::is_enabled() {
+    let mut derivation = Derivation::new(engine);
+    derivation.update(corpus);
+    derivation.into_parts()
+}
+
+/// A derived schema kept beside a growing [`Corpus`]: each
+/// [`Derivation::update`] re-learns only the elements whose facts changed
+/// since the previous one, so a warm schema costs the elements a new
+/// document touched, not the whole schema.
+///
+/// The cache key is an element's occurrence count. In
+/// `Corpus::add_document_with` an element's word multiset, text reservoir
+/// and attribute reservoirs change only while the element is open, and
+/// opening it counts an occurrence; merging shards adds occurrences with
+/// the facts. Counts only grow, so an element whose count equals its
+/// cached report's has the facts it was derived from.
+///
+/// Derivation works over the canonical (name-sorted) alphabet so document
+/// arrival order cannot leak into the output: every learner breaks ties
+/// in symbol order, which then equals name order. When the corpus learns
+/// a new name every canonical symbol shifts, and `auto`'s model cost
+/// reads the alphabet size, so any element's model may change: the
+/// update rebuilds the alphabet and drops every cached element.
+///
+/// Feed one derivation one corpus as it grows; a different corpus needs
+/// a fresh derivation.
+#[derive(Debug)]
+pub struct Derivation {
+    engine: InferenceEngine,
+    /// Corpus symbol index → canonical symbol.
+    canonical: Vec<Sym>,
+    /// Whether `canonical` maps every symbol to itself (the corpus
+    /// interned its names in sorted order), so words need no remap.
+    identity: bool,
+    /// The derived schema, over the canonical alphabet.
+    dtd: Dtd,
+    /// The report of each derived element, indexed by canonical symbol.
+    reports: Vec<Option<ElementReport>>,
+}
+
+impl Derivation {
+    /// An empty derivation: its first update derives every element.
+    pub fn new(engine: InferenceEngine) -> Self {
+        Derivation {
+            engine,
+            canonical: Vec::new(),
+            identity: true,
+            dtd: Dtd::default(),
+            reports: Vec::new(),
+        }
+    }
+
+    /// Brings the schema up to date with `corpus`, re-learning each
+    /// element that has no cached report or whose occurrence count moved.
+    /// Returns how many elements were re-learned. The `xml.engine.*`
+    /// counts and the `xml.element.expr_size` histogram see only those.
+    pub fn update(&mut self, corpus: &Corpus) -> usize {
+        let _span = dtdinfer_obs::span("xml.infer_dtd");
+        if corpus.alphabet.len() != self.canonical.len() {
+            self.rebuild_alphabet(&corpus.alphabet);
+        }
+        let same_name =
+            |(s, name): (Sym, &str)| self.dtd.alphabet.name(self.canonical[s.index()]) == name;
+        debug_assert!(
+            corpus.alphabet.entries().all(same_name),
+            "a derivation follows one growing corpus"
+        );
+        self.dtd.root = corpus.root().map(|s| self.canonical[s.index()]);
+        let mut relearned = 0;
+        for (&sym, facts) in &corpus.elements {
+            let canon = self.canonical[sym.index()];
+            let cached = &self.reports[canon.index()];
+            if cached.as_ref().map(|r| r.occurrences) == Some(facts.occurrences) {
+                continue;
+            }
+            let remapped;
+            let words = if self.identity {
+                &facts.words
+            } else {
+                remapped = facts.words.map_symbols(|s| self.canonical[s.index()]);
+                &remapped
+            };
+            let (spec, attlist, report) =
+                infer_element(&self.dtd.alphabet, canon, words, facts, self.engine);
             dtdinfer_obs::count_labeled("xml.engine", report.engine, 1);
             dtdinfer_obs::observe("xml.element.expr_size", report.expr_size as u64);
-            dtdinfer_obs::event(
-                "xml.element",
-                &[
-                    ("name", report.name.clone()),
-                    ("engine", report.engine.to_owned()),
-                    ("words", report.words.to_string()),
-                    ("repairs", report.repairs.to_string()),
-                ],
-            );
+            // Per-element events are costly fields and would flood serve's
+            // flight ring, so only a trace gets them.
+            if dtdinfer_obs::trace_enabled() {
+                dtdinfer_obs::event(
+                    "xml.element",
+                    &[
+                        ("name", report.name.clone()),
+                        ("engine", report.engine.to_owned()),
+                        ("words", report.words.to_string()),
+                        ("repairs", report.repairs.to_string()),
+                    ],
+                );
+            }
+            self.dtd.elements.insert(canon, spec);
+            if !attlist.is_empty() {
+                self.dtd.attlists.insert(canon, attlist);
+            }
+            self.reports[canon.index()] = Some(report);
+            relearned += 1;
         }
-        dtd.elements.insert(sym, spec);
-        if !attlist.is_empty() {
-            dtd.attlists.insert(sym, attlist);
-        }
-        reports.push(report);
+        relearned
     }
-    (dtd, reports)
+
+    /// Re-interns the corpus's names in sorted order and drops every
+    /// cached element, whose symbols and models are all stale.
+    fn rebuild_alphabet(&mut self, alphabet: &Alphabet) {
+        let mut names: Vec<&str> = alphabet.entries().map(|(_, n)| n).collect();
+        names.sort_unstable();
+        let canonical = Alphabet::from_names(&names);
+        self.canonical = alphabet
+            .entries()
+            .map(|(_, n)| canonical.get(n).expect("same name set"))
+            .collect();
+        self.identity = self
+            .canonical
+            .iter()
+            .enumerate()
+            .all(|(i, s)| s.index() == i);
+        self.reports = vec![None; canonical.len()];
+        self.dtd = Dtd {
+            alphabet: canonical,
+            ..Dtd::default()
+        };
+    }
+
+    /// The derived schema, over the canonical alphabet.
+    pub fn dtd(&self) -> &Dtd {
+        &self.dtd
+    }
+
+    /// One report per derived element, in element-name order.
+    pub fn reports(&self) -> impl Iterator<Item = &ElementReport> {
+        self.reports.iter().flatten()
+    }
+
+    /// The schema and its reports, in element-name order.
+    pub fn into_parts(self) -> (Dtd, Vec<ElementReport>) {
+        (self.dtd, self.reports.into_iter().flatten().collect())
+    }
 }
 
 /// Content-model size in tokens, for the stats report.
@@ -134,16 +248,18 @@ pub fn spec_size(spec: &ContentSpec) -> usize {
     }
 }
 
-/// Learns one element's content model and attribute list from its facts:
-/// the per-element step of [`infer_dtd_with_stats`] and of the engine's
-/// derivation over its persisted state. Every learner is built here from
-/// the distinct words of `facts.words`, so no learner state outlives the
-/// call. `alphabet` is the one `facts` is written in; callers pass the
-/// canonical (name-sorted) alphabet so ties break by name. The report's
-/// duration covers the content model only.
+/// Learns one element's content model and attribute list: the
+/// per-element step of [`Derivation::update`]. `words` is the element's
+/// child-word multiset written over `alphabet`, which callers make the
+/// canonical (name-sorted) one so ties break by name; `facts` supplies
+/// the text and attribute reservoirs and the occurrence count (its own
+/// `words` are not read). Every learner is built here from the distinct
+/// words, so no learner state outlives the call. The report's duration
+/// covers the content model only.
 pub fn infer_element(
     alphabet: &Alphabet,
     sym: Sym,
+    words: &WordBag,
     facts: &ElementFacts,
     engine: InferenceEngine,
 ) -> (ContentSpec, Vec<AttDef>, ElementReport) {
@@ -157,7 +273,7 @@ pub fn infer_element(
     };
     let (mut rewrite_steps, mut repairs, mut fallbacks) = (0usize, 0usize, 0usize);
     let has_text = facts.has_text();
-    let has_children = facts.has_element_children();
+    let has_children = words.words().any(|w| !w.is_empty());
     let spec = match (has_text, has_children) {
         // Never any content observed: EMPTY is the tight choice (the
         // specialization-over-generalization default of §1.2's rich-data
@@ -176,7 +292,7 @@ pub fn infer_element(
             // support threshold applies here too: child names occurring
             // fewer than `threshold` times are treated as intruders.
             let mut support: std::collections::BTreeMap<Sym, u64> = Default::default();
-            for (w, n) in facts.words.iter() {
+            for (w, n) in words.iter() {
                 for &s in w {
                     *support.entry(s).or_insert(0) += u64::from(n);
                 }
@@ -198,9 +314,9 @@ pub fn infer_element(
             // set union (count-invariant), CRX and the support counters
             // take the multiplicity as a weight.
             let model = match engine {
-                InferenceEngine::Crx => crx_counted(facts.words.iter()),
+                InferenceEngine::Crx => crx_counted(words.iter()),
                 InferenceEngine::Idtd => {
-                    let soa = Soa::learn(facts.words.words());
+                    let soa = Soa::learn(words.words());
                     let (model, trace) = idtd_traced(&soa, IdtdConfig::default());
                     for e in &trace {
                         match e {
@@ -212,10 +328,10 @@ pub fn infer_element(
                     model
                 }
                 InferenceEngine::IdtdNoise { threshold } => {
-                    SupportSoa::learn_counted(facts.words.iter()).infer_denoised(threshold)
+                    SupportSoa::learn_counted(words.iter()).infer_denoised(threshold)
                 }
                 InferenceEngine::Kore => {
-                    let outcome = KoreState::learn_counted(&facts.words).derive();
+                    let outcome = KoreState::learn_counted(words).derive();
                     for e in &outcome.events {
                         match e {
                             Event::Rewrite(_) => rewrite_steps += 1,
@@ -226,11 +342,11 @@ pub fn infer_element(
                     outcome.model
                 }
                 InferenceEngine::Auto => {
-                    let soa = Soa::learn(facts.words.words());
+                    let soa = Soa::learn(words.words());
                     let sore = idtd_traced(&soa, IdtdConfig::default());
-                    let kore = KoreState::learn_counted(&facts.words).derive();
-                    let chare = crx_counted(facts.words.iter());
-                    let pick = pick_auto(sore, kore, chare, alphabet.len(), &facts.words);
+                    let kore = KoreState::learn_counted(words).derive();
+                    let chare = crx_counted(words.iter());
+                    let pick = pick_auto(sore, kore, chare, alphabet.len(), words);
                     engine_used = pick.engine;
                     for e in &pick.events {
                         match e {
@@ -252,7 +368,7 @@ pub fn infer_element(
         name: alphabet.name(sym).to_owned(),
         engine: engine_used,
         occurrences: facts.occurrences,
-        words: facts.words.total() as usize,
+        words: words.total() as usize,
         rewrite_steps,
         repairs,
         fallbacks,
@@ -356,6 +472,42 @@ mod tests {
         let dtd = infer_dtd(&c, InferenceEngine::Crx);
         assert_eq!(dtd.root, dtd.alphabet.get("top"));
         assert!(dtd.serialize().starts_with("<!ELEMENT top"));
+    }
+
+    #[test]
+    fn update_rederives_an_element_whose_only_new_fact_is_a_value() {
+        let mut c = corpus(&["<r><a/></r>"]);
+        let mut derivation = Derivation::new(InferenceEngine::Idtd);
+        assert_eq!(derivation.update(&c), 2);
+        assert_eq!(derivation.update(&c), 0, "nothing changed");
+        // `a` keeps its child words; only an attribute value is new.
+        c.add_document(r#"<r><a x="1"/></r>"#).unwrap();
+        assert_eq!(derivation.update(&c), 2);
+        let text = derivation.dtd().serialize();
+        assert!(text.contains("<!ATTLIST a x "), "{text}");
+        assert_eq!(text, infer_dtd(&c, InferenceEngine::Idtd).serialize());
+        // Only a text value is new.
+        c.add_document("<r><a>t</a></r>").unwrap();
+        assert_eq!(derivation.update(&c), 2);
+        let text = derivation.dtd().serialize();
+        assert!(text.contains("<!ELEMENT a (#PCDATA)>"), "{text}");
+        assert_eq!(text, infer_dtd(&c, InferenceEngine::Idtd).serialize());
+    }
+
+    #[test]
+    fn a_new_name_rederives_every_element() {
+        let mut c = corpus(&["<r><b/></r>"]);
+        let mut derivation = Derivation::new(InferenceEngine::Auto);
+        derivation.update(&c);
+        // `r` and `b` are untouched, but `a` sorts before them.
+        c.add_document("<s><a/></s>").unwrap();
+        assert_eq!(derivation.update(&c), 4);
+        let (cold, cold_reports) = infer_dtd_with_stats(&c, InferenceEngine::Auto);
+        assert_eq!(derivation.dtd().serialize(), cold.serialize());
+        let names: Vec<&str> = derivation.reports().map(|r| r.name.as_str()).collect();
+        let cold_names: Vec<&str> = cold_reports.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "r", "s"]);
+        assert_eq!(names, cold_names);
     }
 
     #[test]
