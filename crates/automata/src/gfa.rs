@@ -220,43 +220,47 @@ impl Gfa {
     /// `(r,r)` for iterating labels, and (ii) `(r,r')` whenever a path from
     /// `r` to `r'` passes only intermediate nodes with ε in their language.
     pub fn closure(&self) -> Closure {
-        let nullable: BTreeSet<NodeId> = self
-            .labels
-            .iter()
-            .filter(|(_, r)| r.nullable())
-            .map(|(&id, _)| id)
-            .collect();
-        let mut succ: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-        let mut pred: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-        let all_nodes: Vec<NodeId> = self.succ.keys().copied().collect();
-        for &id in &all_nodes {
-            succ.entry(id).or_default();
-            pred.entry(id).or_default();
+        let ids = self.next_id as usize;
+        let width = ids.div_ceil(64);
+        let mut closure = Closure {
+            width,
+            succ: vec![0; ids * width],
+            pred: vec![0; ids * width],
+        };
+        let mut nullable = vec![false; ids];
+        for (&id, label) in &self.labels {
+            nullable[id.0 as usize] = label.nullable();
         }
-        for &u in &all_nodes {
-            // BFS from u, continuing through nullable intermediates.
-            let mut stack: Vec<NodeId> = self.succ[&u].iter().copied().collect();
-            let mut reached: BTreeSet<NodeId> = BTreeSet::new();
+        let mut stack: Vec<NodeId> = Vec::new();
+        for (&u, direct) in &self.succ {
+            // DFS from u, continuing through nullable intermediates.
+            let row = closure.row_mut(u);
+            stack.extend(direct.iter().copied());
             while let Some(v) = stack.pop() {
-                if !reached.insert(v) {
+                let (word, bit) = bit_of(v);
+                if row[word] & bit != 0 {
                     continue;
                 }
-                if nullable.contains(&v) {
+                row[word] |= bit;
+                if nullable[v.0 as usize] {
                     stack.extend(self.succ[&v].iter().copied());
                 }
-            }
-            for v in reached {
-                succ.get_mut(&u).expect("init").insert(v);
-                pred.get_mut(&v).expect("init").insert(u);
             }
         }
         for (&id, label) in &self.labels {
             if Self::label_iterates(label) {
-                succ.get_mut(&id).expect("init").insert(id);
-                pred.get_mut(&id).expect("init").insert(id);
+                let (word, bit) = bit_of(id);
+                closure.row_mut(id)[word] |= bit;
             }
         }
-        Closure { succ, pred }
+        for &u in self.succ.keys() {
+            let (word, bit) = bit_of(u);
+            let start = u.0 as usize * closure.width;
+            for v in NodeSet(&closure.succ[start..start + closure.width]).iter() {
+                closure.pred[v.0 as usize * closure.width + word] |= bit;
+            }
+        }
+        closure
     }
 
     /// Graphviz rendering.
@@ -278,22 +282,127 @@ impl Gfa {
     }
 }
 
-/// The ε-closure `G*`: predecessor and successor sets per node (§5).
+/// The word and bit of `id` in a bit row.
+fn bit_of(id: NodeId) -> (usize, u64) {
+    (id.0 as usize / 64, 1 << (id.0 % 64))
+}
+
+/// The ε-closure `G*`: predecessor and successor sets per node (§5), as
+/// dense bit rows indexed by node id, so the rule preconditions compare,
+/// intersect and test sets a word at a time.
 #[derive(Debug, Clone)]
 pub struct Closure {
-    succ: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    pred: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// Words per row: enough bits for every node id the GFA has allocated.
+    width: usize,
+    succ: Vec<u64>,
+    pred: Vec<u64>,
 }
 
 impl Closure {
     /// `Pred(r)`: predecessors of `r` in `G*`.
-    pub fn pred(&self, id: NodeId) -> &BTreeSet<NodeId> {
-        &self.pred[&id]
+    pub fn pred(&self, id: NodeId) -> NodeSet<'_> {
+        let start = id.0 as usize * self.width;
+        NodeSet(&self.pred[start..start + self.width])
     }
 
     /// `Succ(r)`: successors of `r` in `G*`.
-    pub fn succ(&self, id: NodeId) -> &BTreeSet<NodeId> {
-        &self.succ[&id]
+    pub fn succ(&self, id: NodeId) -> NodeSet<'_> {
+        let start = id.0 as usize * self.width;
+        NodeSet(&self.succ[start..start + self.width])
+    }
+
+    /// An empty set as wide as the closure's rows, to collect nodes in.
+    pub fn empty_set(&self) -> NodeBits {
+        NodeBits(vec![0; self.width])
+    }
+
+    fn row_mut(&mut self, id: NodeId) -> &mut [u64] {
+        let start = id.0 as usize * self.width;
+        &mut self.succ[start..start + self.width]
+    }
+}
+
+/// A set of nodes: one bit row of a [`Closure`], or a [`NodeBits`] of the
+/// same width. Set operations between two sets need equal widths.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeSet<'a>(&'a [u64]);
+
+impl<'a> NodeSet<'a> {
+    /// Whether `id` is in the set.
+    pub fn contains(self, id: &NodeId) -> bool {
+        let (word, bit) = bit_of(*id);
+        self.0.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// The members in ascending id order.
+    pub fn iter(self) -> impl Iterator<Item = NodeId> + 'a {
+        self.0.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    NodeId(i as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    /// Whether every member of `self` is in `other`.
+    pub fn is_subset(self, other: NodeSet<'_>) -> bool {
+        self.0.iter().zip(other.0).all(|(a, b)| a & !b == 0)
+    }
+
+    /// Whether the two sets share no member.
+    pub fn is_disjoint(self, other: NodeSet<'_>) -> bool {
+        self.0.iter().zip(other.0).all(|(a, b)| a & b == 0)
+    }
+
+    /// Number of members of `self` not in `other`.
+    pub fn difference_len(self, other: NodeSet<'_>) -> usize {
+        self.0
+            .iter()
+            .zip(other.0)
+            .map(|(a, b)| (a & !b).count_ones() as usize)
+            .sum()
+    }
+
+    /// Whether `self` and `other` hold the same nodes outside `skip`.
+    pub fn eq_outside(self, other: NodeSet<'_>, skip: NodeSet<'_>) -> bool {
+        self.0
+            .iter()
+            .zip(other.0)
+            .zip(skip.0)
+            .all(|((a, b), s)| (a ^ b) & !s == 0)
+    }
+}
+
+/// An owned, growable-in-place node set as wide as a [`Closure`]'s rows
+/// (see [`Closure::empty_set`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeBits(Vec<u64>);
+
+impl NodeBits {
+    /// Adds `id`.
+    pub fn insert(&mut self, id: NodeId) {
+        let (word, bit) = bit_of(id);
+        self.0[word] |= bit;
+    }
+
+    /// Removes `id`.
+    pub fn remove(&mut self, id: NodeId) {
+        let (word, bit) = bit_of(id);
+        self.0[word] &= !bit;
+    }
+
+    /// The set as a [`NodeSet`].
+    pub fn as_set(&self) -> NodeSet<'_> {
+        NodeSet(&self.0)
     }
 }
 
@@ -301,6 +410,84 @@ impl Closure {
 mod tests {
     use super::*;
     use dtdinfer_regex::alphabet::Alphabet;
+    use proptest::prelude::*;
+
+    /// The closure as node-keyed sorted sets, computed the way the bit
+    /// rows replaced: the reference the rows are checked against.
+    fn reference_closure(g: &Gfa) -> BTreeMap<NodeId, (BTreeSet<NodeId>, BTreeSet<NodeId>)> {
+        let nullable: BTreeSet<NodeId> = g
+            .labels
+            .iter()
+            .filter(|(_, r)| r.nullable())
+            .map(|(&id, _)| id)
+            .collect();
+        let mut sets: BTreeMap<NodeId, (BTreeSet<NodeId>, BTreeSet<NodeId>)> =
+            g.succ.keys().map(|&id| (id, Default::default())).collect();
+        for &u in g.succ.keys() {
+            let mut stack: Vec<NodeId> = g.succ[&u].iter().copied().collect();
+            let mut reached: BTreeSet<NodeId> = BTreeSet::new();
+            while let Some(v) = stack.pop() {
+                if reached.insert(v) && nullable.contains(&v) {
+                    stack.extend(g.succ[&v].iter().copied());
+                }
+            }
+            for v in reached {
+                sets.get_mut(&u).expect("node").1.insert(v);
+                sets.get_mut(&v).expect("node").0.insert(u);
+            }
+        }
+        for (&id, label) in &g.labels {
+            if Gfa::label_iterates(label) {
+                let entry = sets.get_mut(&id).expect("node");
+                entry.0.insert(id);
+                entry.1.insert(id);
+            }
+        }
+        sets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bit rows hold the reference closure's sets, on random
+        /// graphs whose labels are plain, nullable or iterating, after
+        /// node removals have left gaps in the ids.
+        #[test]
+        fn closure_rows_match_reference(
+            kinds in prop::collection::vec(0u32..4, 1..80),
+            edges in prop::collection::vec((0usize..82, 0usize..82), 0..160),
+            removed in prop::collection::vec(0usize..80, 0..4),
+        ) {
+            let mut g = Gfa::new();
+            let mut ids = vec![SOURCE, SINK];
+            for (i, kind) in kinds.iter().enumerate() {
+                let sym = Regex::sym(Sym(i as u32));
+                ids.push(g.add_node(match kind {
+                    0 => sym,
+                    1 => Regex::optional(sym),
+                    2 => Regex::plus(sym),
+                    _ => Regex::star(sym),
+                }));
+            }
+            for (a, b) in edges {
+                let (from, to) = (ids[a % ids.len()], ids[b % ids.len()]);
+                if from != SINK && to != SOURCE {
+                    g.add_edge(from, to);
+                }
+            }
+            for r in removed {
+                let id = ids[2 + r % kinds.len()];
+                if g.labels.contains_key(&id) {
+                    g.remove_node(id);
+                }
+            }
+            let closure = g.closure();
+            for (&id, (pred, succ)) in &reference_closure(&g) {
+                prop_assert_eq!(&closure.pred(id).iter().collect::<BTreeSet<_>>(), pred);
+                prop_assert_eq!(&closure.succ(id).iter().collect::<BTreeSet<_>>(), succ);
+            }
+        }
+    }
 
     fn letters(n: usize) -> (Alphabet, Vec<Sym>) {
         let mut al = Alphabet::new();

@@ -172,3 +172,43 @@ fn contextual_output_is_document_order_invariant() {
         }
     }
 }
+
+/// `stats --engine E` without its time column (the last two fields of
+/// every line, as `awk '{NF-=2; print}'` drops them in CI).
+fn stats_without_times(files: &[String], engine: &str) -> String {
+    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
+    let out = Command::new(env!("CARGO_BIN_EXE_dtdinfer"))
+        .args([&["stats", "--engine", engine][..], &refs].concat())
+        .output()
+        .expect("spawn dtdinfer");
+    assert!(
+        out.status.success(),
+        "stats --engine {engine} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout)
+        .expect("UTF-8 report")
+        .lines()
+        .map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            format!("{}\n", fields[..fields.len().saturating_sub(2)].join(" "))
+        })
+        .collect()
+}
+
+/// The derivation behind each content model — engine verdict, rewrite
+/// steps, repairs — is pinned too, not just the DTD it ends in.
+#[test]
+fn derivation_traces_match_stats_goldens() {
+    for (corpus_name, dir) in [("books", "testdata/books"), ("songs", "testdata/kore")] {
+        let files = corpus(dir);
+        for engine in ["idtd", "kore", "auto"] {
+            let name = format!("{corpus_name}.{engine}.stats");
+            assert_eq!(
+                stats_without_times(&files, engine),
+                String::from_utf8(golden(&name)).unwrap(),
+                "{name}"
+            );
+        }
+    }
+}

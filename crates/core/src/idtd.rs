@@ -29,7 +29,6 @@ use dtdinfer_automata::soa::Soa;
 use dtdinfer_regex::alphabet::Word;
 use dtdinfer_regex::ast::Regex;
 use dtdinfer_regex::normalize::{normalize, simplify, star_form};
-use std::collections::BTreeSet;
 
 /// Tuning parameters for iDTD.
 #[derive(Debug, Clone, Copy)]
@@ -278,20 +277,20 @@ fn enable_disjunction(g: &mut Gfa, k: usize) -> Option<usize> {
             let p2 = closure.pred(r2);
             let s1 = closure.succ(r1);
             let s2 = closure.succ(r2);
-            let pd1: Vec<_> = p1.difference(p2).collect();
-            let pd2: Vec<_> = p2.difference(p1).collect();
-            let sd1: Vec<_> = s1.difference(s2).collect();
-            let sd2: Vec<_> = s2.difference(s1).collect();
-            let missing = pd1.len() + pd2.len() + sd1.len() + sd2.len();
+            let pd1 = p1.difference_len(p2);
+            let pd2 = p2.difference_len(p1);
+            let sd1 = s1.difference_len(s2);
+            let sd2 = s2.difference_len(s1);
+            let missing = pd1 + pd2 + sd1 + sd2;
             if missing == 0 {
                 continue; // rewrite's disjunction rule handles this itself
             }
             let cond_a = !p1.is_disjoint(p2)
                 && !s1.is_disjoint(s2)
-                && pd1.len() <= k
-                && pd2.len() <= k
-                && sd1.len() <= k
-                && sd2.len() <= k;
+                && pd1 <= k
+                && pd2 <= k
+                && sd1 <= k
+                && sd2 <= k;
             let cond_b = g.has_edge(r1, r2) && g.has_edge(r2, r1);
             if cond_a || cond_b {
                 // Prefer the pair needing the fewest added edges: iDTD aims
@@ -303,18 +302,17 @@ fn enable_disjunction(g: &mut Gfa, k: usize) -> Option<usize> {
         }
     }
     let (_, r1, r2) = best?;
-    let closure = g.closure();
-    let pred_union: BTreeSet<NodeId> = closure.pred(r1).union(closure.pred(r2)).copied().collect();
-    let succ_union: BTreeSet<NodeId> = closure.succ(r1).union(closure.succ(r2)).copied().collect();
+    // Each of the pair gets the other's closure predecessors and
+    // successors that it lacks.
     let mut added = 0usize;
-    for &r in &[r1, r2] {
-        for &p in &pred_union {
+    for (r, other) in [(r1, r2), (r2, r1)] {
+        for p in closure.pred(other).iter() {
             if !closure.pred(r).contains(&p) && p != SINK {
                 g.add_edge(p, r);
                 added += 1;
             }
         }
-        for &s in &succ_union {
+        for s in closure.succ(other).iter() {
             if !closure.succ(r).contains(&s) && s != SOURCE {
                 g.add_edge(r, s);
                 added += 1;
@@ -341,26 +339,16 @@ fn enable_optional(g: &mut Gfa, k: usize) -> Option<usize> {
         if g.label(r).nullable() {
             continue; // already optional; repairing it gains nothing
         }
-        let preds: Vec<NodeId> = closure
-            .pred(r)
-            .iter()
-            .copied()
-            .filter(|&p| p != r)
-            .collect();
-        let succs: Vec<NodeId> = closure
-            .succ(r)
-            .iter()
-            .copied()
-            .filter(|&s| s != r)
-            .collect();
+        let preds: Vec<NodeId> = closure.pred(r).iter().filter(|&p| p != r).collect();
+        let succs: Vec<NodeId> = closure.succ(r).iter().filter(|&s| s != r).collect();
         if preds.is_empty() || succs.is_empty() {
             continue;
         }
         let mut missing = 0usize;
         let mut existing = 0usize;
         for &p in &preds {
-            for &s in &succs {
-                if closure.succ(p).contains(&s) {
+            for s in &succs {
+                if closure.succ(p).contains(s) {
                     existing += 1;
                 } else {
                     missing += 1;
@@ -373,34 +361,16 @@ fn enable_optional(g: &mut Gfa, k: usize) -> Option<usize> {
         let cond_a = existing > 0;
         let cond_b = preds.len() == 1 && {
             let p = preds[0];
-            closure
-                .succ(p)
-                .iter()
-                .filter(|&&s| s != r && s != p)
-                .count()
-                <= k
+            closure.succ(p).iter().filter(|&s| s != r && s != p).count() <= k
         };
         if (cond_a || cond_b) && best.is_none_or(|(m, _)| missing < m) {
             best = Some((missing, r));
         }
     }
     let (_, r) = best?;
-    let closure = g.closure();
-    let preds: Vec<NodeId> = closure
-        .pred(r)
-        .iter()
-        .copied()
-        .filter(|&p| p != r)
-        .collect();
-    let succs: Vec<NodeId> = closure
-        .succ(r)
-        .iter()
-        .copied()
-        .filter(|&s| s != r)
-        .collect();
     let mut added = 0usize;
-    for &p in &preds {
-        for &s in &succs {
+    for p in closure.pred(r).iter().filter(|&p| p != r) {
+        for s in closure.succ(r).iter().filter(|&s| s != r) {
             if !g.has_edge(p, s) && p != SINK && s != SOURCE {
                 g.add_edge(p, s);
                 added += 1;

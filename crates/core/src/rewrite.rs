@@ -20,7 +20,7 @@
 //! non-nullable labels), so the measure (nodes, edges + non-nullable labels)
 //! decreases lexicographically with every step.
 
-use dtdinfer_automata::gfa::{Closure, Gfa, NodeId};
+use dtdinfer_automata::gfa::{Closure, Gfa, NodeBits, NodeId};
 use dtdinfer_automata::soa::Soa;
 use dtdinfer_regex::ast::Regex;
 use dtdinfer_regex::normalize::{normalize, simplify, star_form};
@@ -286,33 +286,16 @@ fn merge_chain(g: &mut Gfa, chain: &[NodeId]) -> Regex {
 /// and successor sets coincide is merged into `r1 + … + rn`; when `G` has
 /// edges between members of `W`, the merged node gets a self-edge.
 fn try_disjunction(g: &mut Gfa, closure: &Closure) -> Option<Step> {
-    let nodes: Vec<NodeId> = g.inner_nodes().collect();
-    let mut found: Option<Vec<NodeId>> = None;
-    'outer: for (i, &r1) in nodes.iter().enumerate() {
-        for &r2 in &nodes[i + 1..] {
-            if !disjunction_compatible(g, closure, &[r1, r2]) {
-                continue;
-            }
-            // Extend to a maximal compatible set.
-            let mut w = vec![r1, r2];
-            for &r in &nodes {
-                if !w.contains(&r) {
-                    w.push(r);
-                    if !disjunction_compatible(g, closure, &w) {
-                        w.pop();
-                    }
-                }
-            }
-            found = Some(w);
-            break 'outer;
-        }
-    }
-    let members = found?;
+    #[cfg(test)]
+    let found = if reference::ENABLED.get() {
+        reference::disjunction_members(g, closure)
+    } else {
+        disjunction_members(g, closure)
+    };
+    #[cfg(not(test))]
+    let found = disjunction_members(g, closure);
+    let (members, internal) = found?;
     let member_set: BTreeSet<NodeId> = members.iter().copied().collect();
-    // Case (ii) iff G has a direct edge between members (incl. self-edges).
-    let internal = members
-        .iter()
-        .any(|&m| g.direct_succ(m).iter().any(|t| member_set.contains(t)));
     let operands: Vec<Regex> = members.iter().map(|&m| g.label(m).clone()).collect();
     let label = normalize(&Regex::union(operands.clone()));
     let incoming: BTreeSet<NodeId> = members
@@ -345,31 +328,151 @@ fn try_disjunction(g: &mut Gfa, closure: &Closure) -> Option<Step> {
     })
 }
 
-/// Whether `w` satisfies the disjunction precondition: identical closure
-/// predecessor/successor sets outside `w`, and either no direct edges among
-/// members (case i) or closure-complete interconnection including
-/// self-edges (case ii).
-fn disjunction_compatible(g: &Gfa, closure: &Closure, w: &[NodeId]) -> bool {
-    let wset: BTreeSet<NodeId> = w.iter().copied().collect();
-    let external = |set: &BTreeSet<NodeId>| -> Vec<NodeId> {
-        set.iter().copied().filter(|n| !wset.contains(n)).collect()
-    };
-    let pred0 = external(closure.pred(w[0]));
-    let succ0 = external(closure.succ(w[0]));
-    for &r in &w[1..] {
-        if external(closure.pred(r)) != pred0 || external(closure.succ(r)) != succ0 {
-            return false;
+/// The set `W` the disjunction rule merges, and whether `G` has a direct
+/// edge between its members (case ii). `W` satisfies the precondition:
+/// identical closure predecessor/successor sets outside `W`, and either no
+/// direct edges among members (case i) or closure-complete
+/// interconnection including self-edges (case ii).
+///
+/// The search takes the first compatible pair `r1 < r2` in node order and
+/// extends it by trying every other node in node order, keeping each one
+/// that leaves the set compatible. Extension is incremental: the members'
+/// external sets are equal, and removing one more node from equal sets
+/// keeps them equal, so a candidate `r` only needs its own external sets
+/// compared with `r1`'s. "Some direct edge inside `W`" and "every ordered
+/// pair linked in `G*`" are carried as two flags and updated with each
+/// added node. `W` is a bit set as wide as the closure's rows, so each
+/// test is a word-wise pass and nothing is allocated per pair.
+fn disjunction_members(g: &Gfa, closure: &Closure) -> Option<(Vec<NodeId>, bool)> {
+    let nodes: Vec<NodeId> = g.inner_nodes().collect();
+    let mut in_w = closure.empty_set();
+    for (i, &r1) in nodes.iter().enumerate() {
+        for &r2 in &nodes[i + 1..] {
+            in_w.insert(r1);
+            in_w.insert(r2);
+            let pair = in_w.as_set();
+            if closure.pred(r1).eq_outside(closure.pred(r2), pair)
+                && closure.succ(r1).eq_outside(closure.succ(r2), pair)
+            {
+                let direct = [r1, r2]
+                    .iter()
+                    .any(|&a| g.has_edge(a, r1) || g.has_edge(a, r2));
+                let linked = pair.is_subset(closure.succ(r1)) && pair.is_subset(closure.succ(r2));
+                if !direct || linked {
+                    return Some(grow_disjunction(g, closure, &nodes, in_w, (direct, linked)));
+                }
+            }
+            in_w.remove(r1);
+            in_w.remove(r2);
         }
     }
-    let any_direct = w
-        .iter()
-        .any(|&m| g.direct_succ(m).iter().any(|t| wset.contains(t)));
-    if !any_direct {
-        return true; // case (i): no edges in G between members at all
+    None
+}
+
+/// Grows the compatible pair in `in_w` by every node, in node order, that
+/// keeps the set compatible; `(direct, linked)` are the pair's two flags.
+fn grow_disjunction(
+    g: &Gfa,
+    closure: &Closure,
+    nodes: &[NodeId],
+    mut in_w: NodeBits,
+    (mut direct, mut linked): (bool, bool),
+) -> (Vec<NodeId>, bool) {
+    let mut w: Vec<NodeId> = in_w.as_set().iter().collect();
+    let r1 = w[0];
+    for &r in nodes {
+        if in_w.as_set().contains(&r) {
+            continue;
+        }
+        in_w.insert(r);
+        let members = in_w.as_set();
+        if closure.pred(r).eq_outside(closure.pred(r1), members)
+            && closure.succ(r).eq_outside(closure.succ(r1), members)
+        {
+            let grown_direct = direct
+                || g.direct_succ(r).iter().any(|n| members.contains(n))
+                || g.direct_pred(r).iter().any(|n| members.contains(n));
+            // Every member links to `r` and `r` to every member (itself
+            // included) iff both of its sets hold all of `W ∪ {r}`.
+            let grown_linked =
+                linked && members.is_subset(closure.succ(r)) && members.is_subset(closure.pred(r));
+            if !grown_direct || grown_linked {
+                w.push(r);
+                (direct, linked) = (grown_direct, grown_linked);
+                continue;
+            }
+        }
+        in_w.remove(r);
     }
-    // Case (ii): every ordered pair (including self-pairs) connected in G*.
-    w.iter()
-        .all(|&a| w.iter().all(|&b| closure.succ(a).contains(&b)))
+    (w, direct)
+}
+
+/// The whole-set disjunction search that [`disjunction_members`]
+/// replaced, kept as the oracle for it: each candidate set is checked
+/// from scratch. Setting [`ENABLED`](reference::ENABLED) on a test thread
+/// makes the rewrite rule use it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use dtdinfer_automata::gfa::NodeSet;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Whether this thread's disjunction rule runs the reference search.
+        pub(crate) static ENABLED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The reference counterpart of [`disjunction_members`].
+    pub(crate) fn disjunction_members(g: &Gfa, closure: &Closure) -> Option<(Vec<NodeId>, bool)> {
+        let nodes: Vec<NodeId> = g.inner_nodes().collect();
+        for (i, &r1) in nodes.iter().enumerate() {
+            for &r2 in &nodes[i + 1..] {
+                if !disjunction_compatible(g, closure, &[r1, r2]) {
+                    continue;
+                }
+                // Extend to a maximal compatible set.
+                let mut w = vec![r1, r2];
+                for &r in &nodes {
+                    if !w.contains(&r) {
+                        w.push(r);
+                        if !disjunction_compatible(g, closure, &w) {
+                            w.pop();
+                        }
+                    }
+                }
+                let member_set: BTreeSet<NodeId> = w.iter().copied().collect();
+                let internal = w
+                    .iter()
+                    .any(|&m| g.direct_succ(m).iter().any(|t| member_set.contains(t)));
+                return Some((w, internal));
+            }
+        }
+        None
+    }
+
+    /// Whether `w` satisfies the disjunction precondition.
+    fn disjunction_compatible(g: &Gfa, closure: &Closure, w: &[NodeId]) -> bool {
+        let wset: BTreeSet<NodeId> = w.iter().copied().collect();
+        let external = |set: NodeSet<'_>| -> Vec<NodeId> {
+            set.iter().filter(|n| !wset.contains(n)).collect()
+        };
+        let pred0 = external(closure.pred(w[0]));
+        let succ0 = external(closure.succ(w[0]));
+        for &r in &w[1..] {
+            if external(closure.pred(r)) != pred0 || external(closure.succ(r)) != succ0 {
+                return false;
+            }
+        }
+        let any_direct = w
+            .iter()
+            .any(|&m| g.direct_succ(m).iter().any(|t| wset.contains(t)));
+        if !any_direct {
+            return true; // case (i): no edges in G between members at all
+        }
+        // Case (ii): every ordered pair (including self-pairs) connected in G*.
+        w.iter()
+            .all(|&a| w.iter().all(|&b| closure.succ(a).contains(&b)))
+    }
 }
 
 /// **optional**: a non-nullable state `r` such that everything reachable
@@ -386,8 +489,8 @@ fn try_optional(g: &mut Gfa, closure: &Closure) -> Option<Step> {
         let succs = closure.succ(n);
         let precondition = preds
             .iter()
-            .filter(|&&p| p != n)
-            .all(|&p| succs.iter().all(|s| closure.succ(p).contains(s)));
+            .filter(|&p| p != n)
+            .all(|p| succs.is_subset(closure.succ(p)));
         if !precondition {
             return false;
         }
@@ -398,22 +501,12 @@ fn try_optional(g: &mut Gfa, closure: &Closure) -> Option<Step> {
         // least one bypass edge (otherwise the rule would loop forever).
         preds
             .iter()
-            .filter(|&&p| p != n)
-            .any(|&p| succs.iter().any(|&s| s != n && g.has_edge(p, s)))
+            .filter(|&p| p != n)
+            .any(|p| succs.iter().any(|s| s != n && g.has_edge(p, s)))
     });
     let n = candidate?;
-    let preds: Vec<NodeId> = closure
-        .pred(n)
-        .iter()
-        .copied()
-        .filter(|&p| p != n)
-        .collect();
-    let succs: Vec<NodeId> = closure
-        .succ(n)
-        .iter()
-        .copied()
-        .filter(|&s| s != n)
-        .collect();
+    let preds: Vec<NodeId> = closure.pred(n).iter().filter(|&p| p != n).collect();
+    let succs: Vec<NodeId> = closure.succ(n).iter().filter(|&s| s != n).collect();
     let old = g.label(n).clone();
     let new_label = normalize(&Regex::Optional(Box::new(old.clone())));
     g.set_label(n, new_label.clone());
@@ -435,10 +528,12 @@ mod tests {
     use dtdinfer_automata::dfa::soa_equiv_regex;
     use dtdinfer_automata::glushkov::soa_of_sore;
     use dtdinfer_regex::alphabet::Alphabet;
+    use dtdinfer_regex::alphabet::Sym;
     use dtdinfer_regex::classify::is_sore;
     use dtdinfer_regex::display::render;
     use dtdinfer_regex::normalize::equiv_commutative;
     use dtdinfer_regex::parser::parse;
+    use proptest::prelude::*;
 
     fn learned(words: &[&str]) -> (Soa, Alphabet) {
         let mut al = Alphabet::new();
@@ -590,6 +685,113 @@ mod tests {
         // (and iDTD then super-approximates it, see the idtd tests).
         let (soa, _) = learned(&["ab", "ba", "a", "b", "aba"]);
         assert!(rewrite_soa(&soa).is_none());
+    }
+
+    /// iDTD over `soa` with the incremental disjunction search and with
+    /// the reference one: the models and every event, rewrite steps
+    /// (rule, operands, result) and repairs alike, must agree.
+    fn assert_searches_agree(soa: &Soa) {
+        use crate::idtd::{idtd_traced, IdtdConfig};
+        let fast = idtd_traced(soa, IdtdConfig::default());
+        reference::ENABLED.set(true);
+        let slow = idtd_traced(soa, IdtdConfig::default());
+        reference::ENABLED.set(false);
+        assert_eq!(fast, slow, "{soa:?}");
+    }
+
+    /// Every SOA over one and two symbols: the edge menu of
+    /// `tests/tests/exhaustive_soa.rs` (source and sink edges, every inner
+    /// pair including self-loops, and the ε edge), all subsets.
+    #[test]
+    fn disjunction_search_matches_reference_exhaustively() {
+        for n in 1..=2u32 {
+            let syms: Vec<Sym> = (0..n).map(Sym).collect();
+            let mut menu: Vec<(Option<Sym>, Option<Sym>)> = Vec::new();
+            for &s in &syms {
+                menu.push((None, Some(s)));
+                menu.push((Some(s), None));
+            }
+            for &a in &syms {
+                for &b in &syms {
+                    menu.push((Some(a), Some(b)));
+                }
+            }
+            menu.push((None, None));
+            for mask in 0..1u32 << menu.len() {
+                let mut soa = Soa::new();
+                for (i, &edge) in menu.iter().enumerate() {
+                    if mask & (1 << i) == 0 {
+                        continue;
+                    }
+                    match edge {
+                        (None, None) => soa.accepts_empty = true,
+                        (None, Some(b)) => {
+                            soa.initial.insert(b);
+                            soa.states.insert(b);
+                        }
+                        (Some(a), None) => {
+                            soa.finals.insert(a);
+                            soa.states.insert(a);
+                        }
+                        (Some(a), Some(b)) => {
+                            soa.edges.insert((a, b));
+                            soa.states.insert(a);
+                            soa.states.insert(b);
+                        }
+                    }
+                }
+                assert_searches_agree(&soa);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random SOAs over up to 8 symbols, from sparse to dense.
+        #[test]
+        fn disjunction_search_matches_reference_on_random_soas(
+            n in 1u32..9,
+            initial in prop::collection::vec(0u32..8, 1..4),
+            finals in prop::collection::vec(0u32..8, 1..4),
+            edges in prop::collection::vec((0u32..8, 0u32..8), 0..40),
+            accepts_empty in 0u32..2,
+        ) {
+            let sym = |i: u32| Sym(i % n);
+            let soa = Soa::from_parts(
+                initial.into_iter().map(sym),
+                finals.into_iter().map(sym),
+                edges.into_iter().map(|(a, b)| (sym(a), sym(b))),
+                accepts_empty == 1,
+            );
+            assert_searches_agree(&soa);
+        }
+    }
+
+    /// A 150-way union behind a header (the shape of a feed of record
+    /// types), and a 40-way repeated union whose members all link to each
+    /// other (case ii at scale).
+    #[test]
+    fn disjunction_search_matches_reference_on_wide_unions() {
+        let header = Sym(0);
+        let records: Vec<Sym> = (1..=150).map(Sym).collect();
+        let union = Soa::from_parts(
+            [header],
+            records.iter().copied(),
+            records.iter().map(|&r| (header, r)),
+            false,
+        );
+        assert_searches_agree(&union);
+        let looped: Vec<Sym> = (0..40).map(Sym).collect();
+        let repeated = Soa::from_parts(
+            looped.iter().copied(),
+            looped.iter().copied(),
+            looped
+                .iter()
+                .flat_map(|&a| looped.iter().map(move |&b| (a, b))),
+            false,
+        );
+        assert_searches_agree(&repeated);
     }
 
     #[test]

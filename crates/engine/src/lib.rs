@@ -92,18 +92,6 @@ impl EngineState {
         self.absorb_document(doc).map_err(|e| e.with_source(source))
     }
 
-    /// [`EngineState::absorb_document_with`], attributing any parse error
-    /// to `source` (usually the file path).
-    pub fn absorb_document_from_with(
-        &mut self,
-        doc: &str,
-        source: &str,
-        arena: &mut ParseArena,
-    ) -> Result<(), XmlError> {
-        self.absorb_document_with(doc, arena)
-            .map_err(|e| e.with_source(source))
-    }
-
     /// Parses one document and folds its statistics in.
     pub fn absorb_document(&mut self, doc: &str) -> Result<(), XmlError> {
         self.absorb_document_with(doc, &mut ParseArena::new())

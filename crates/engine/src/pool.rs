@@ -310,20 +310,26 @@ fn absorb_one<S: DocSource>(
     arena: &mut ParseArena,
     in_flight: &InFlight,
 ) -> Result<u64, IngestError> {
-    let fail = |error: IngestFailure| IngestError {
-        doc_index: i,
-        source: source.name(i),
-        error,
+    // The document is named only when it fails: a parse error carries the
+    // name as its source, as a read error carries the path in its message.
+    let fail = |error: IngestFailure| {
+        let source = source.name(i);
+        let error = match (error, &source) {
+            (IngestFailure::Parse(e), Some(name)) => IngestFailure::Parse(e.with_source(name)),
+            (error, _) => error,
+        };
+        IngestError {
+            doc_index: i,
+            source,
+            error,
+        }
     };
     let doc = source
         .load(i, buf)
         .map_err(|m| fail(IngestFailure::Read(m)))?;
     let len = doc.len() as u64;
     in_flight.enter(len);
-    let absorbed = match source.name(i) {
-        Some(name) => local.absorb_document_from_with(doc, &name, arena),
-        None => local.absorb_document_with(doc, arena),
-    };
+    let absorbed = local.absorb_document_with(doc, arena);
     in_flight.exit(len);
     absorbed.map_err(|e| fail(IngestFailure::Parse(e)))?;
     Ok(len)

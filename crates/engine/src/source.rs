@@ -11,6 +11,7 @@
 //! adapts an in-memory slice (tests, benches, and callers that already
 //! hold the documents) with zero copying.
 
+use std::io::Read;
 use std::path::PathBuf;
 
 /// A random-access collection of XML documents, loadable by index.
@@ -92,12 +93,15 @@ impl DocSource for PathSource {
     }
 
     fn load<'s>(&'s self, index: usize, buf: &'s mut String) -> Result<&'s str, String> {
-        buf.clear();
         let path = &self.paths[index];
-        let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let text = String::from_utf8(bytes)
+        // Read into the buffer's own bytes, so its capacity is reused.
+        let mut bytes = std::mem::take(buf).into_bytes();
+        bytes.clear();
+        std::fs::File::open(path)
+            .and_then(|mut file| file.read_to_end(&mut bytes))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        *buf = String::from_utf8(bytes)
             .map_err(|e| format!("{}: invalid UTF-8: {e}", path.display()))?;
-        *buf = text;
         Ok(buf)
     }
 }
@@ -131,6 +135,22 @@ mod tests {
         assert_eq!(source.load(0, &mut buf).unwrap(), "<r><a/></r>");
         let err = source.load(1, &mut buf).unwrap_err();
         assert!(err.contains("missing.xml"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn path_source_reads_into_the_reused_buffer() {
+        let dir = std::env::temp_dir().join(format!("dtdinfer-buf-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (good, bad) = (dir.join("good.xml"), dir.join("bad.xml"));
+        std::fs::write(&good, "<r/>").unwrap();
+        std::fs::write(&bad, b"<r>\xff</r>").unwrap();
+        let source = PathSource::new(vec![good, bad]);
+        let mut buf = String::with_capacity(4096);
+        assert_eq!(source.load(0, &mut buf).unwrap(), "<r/>");
+        assert!(buf.capacity() >= 4096, "the buffer was replaced");
+        let err = source.load(1, &mut buf).unwrap_err();
+        assert!(err.contains("bad.xml: invalid UTF-8"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -344,7 +344,9 @@ pub fn infer_element(
                 InferenceEngine::Auto => {
                     let soa = Soa::learn(words.words());
                     let sore = idtd_traced(&soa, IdtdConfig::default());
-                    let kore = KoreState::learn_counted(words).derive();
+                    // The k-ORE descent stops at k = 2: `pick_auto`
+                    // reads the k = 1 candidate off `sore`.
+                    let kore = KoreState::learn_counted(words).derive_repeated();
                     let chare = crx_counted(words.iter());
                     let pick = pick_auto(sore, kore, chare, alphabet.len(), words);
                     engine_used = pick.engine;
