@@ -130,6 +130,27 @@ fn corrupted_and_future_snapshots_are_rejected() {
 }
 
 #[test]
+fn snapshots_naming_an_element_without_a_section_are_rejected() {
+    // Loading this file would print `<!ELEMENT r (a, b)>` and never
+    // declare `a` or `b`.
+    let dir = scratch("orphan");
+    let orphan = dir.join("orphan.snap");
+    std::fs::write(
+        &orphan,
+        "#dtdinfer-engine v5\ndocuments 1\nroot r 1\nelement r\noccurrences 1\nw 1 a b\n",
+    )
+    .unwrap();
+    let out = bin()
+        .args(["snapshot", "load", orphan.to_str().unwrap()])
+        .output()
+        .expect("spawn dtdinfer");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no DTD for a rejected snapshot");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("element \"a\""), "{err}");
+}
+
+#[test]
 fn jobs_rejects_incompatible_flags() {
     let files = testdata();
     let refs: Vec<&str> = files.iter().map(String::as_str).collect();

@@ -123,8 +123,8 @@ impl EngineState {
             .map(|(_, name)| self.alphabet.intern(name))
             .collect();
         let f = |s: Sym| map[s.index()];
-        for (&sym, facts) in &other.elements {
-            merge_element(self.elements.entry(f(sym)).or_default(), facts, f);
+        for (sym, facts) in other.elements.iter() {
+            merge_element(self.elements.entry(f(sym)), facts, f);
         }
         for (&root, &count) in &other.roots {
             *self.roots.entry(f(root)).or_insert(0) += count;

@@ -43,8 +43,11 @@
 //! documents only. So each v3/v4 element section must carry an `s words N`
 //! row whose `N` equals the total of its `w` rows; otherwise the file is
 //! rejected with the same message. In a v5 file a learner row is an
-//! unknown record. Other versions (including v1) and missing headers are
-//! rejected with a descriptive error rather than misread.
+//! unknown record. In every version each name has exactly one `element`
+//! section: a `root` or `w` row naming an element without one, and a
+//! second section for one name, are rejected. Other versions (including
+//! v1) and missing headers are rejected with a descriptive error rather
+//! than misread.
 
 use crate::EngineState;
 use dtdinfer_regex::alphabet::{Sym, Word};
@@ -101,7 +104,7 @@ pub fn save(state: &EngineState) -> String {
     for (&root, count) in &state.roots {
         let _ = writeln!(out, "root {} {count}", esc(state.alphabet.name(root)));
     }
-    for (&sym, element) in &state.elements {
+    for (sym, element) in state.elements.iter() {
         let _ = writeln!(out, "element {}", esc(state.alphabet.name(sym)));
         let _ = writeln!(out, "occurrences {}", element.occurrences);
         write_bag(&mut out, "text", "", &element.text_samples);
@@ -267,7 +270,7 @@ pub fn load(text: &str) -> Result<EngineState, String> {
                 })?;
                 element.attributes.insert(attr, bag);
             }
-            state.elements.insert(sym, element);
+            *state.elements.entry(sym) = element;
         }
         Ok(())
     };
@@ -295,6 +298,12 @@ pub fn load(text: &str) -> Result<EngineState, String> {
             "element" => {
                 flush(&mut state, &mut current)?;
                 let sym = state.alphabet.intern(&unesc(rest).map_err(err)?);
+                if state.elements.get(sym).is_some() {
+                    return Err(err(format!(
+                        "duplicate section for element {:?}",
+                        state.alphabet.name(sym)
+                    )));
+                }
                 current = Some(Section {
                     sym,
                     element: ElementFacts::default(),
@@ -385,6 +394,17 @@ pub fn load(text: &str) -> Result<EngineState, String> {
         }
     }
     flush(&mut state, &mut current)?;
+    // `save` writes a section for every name a `root` or `w` row holds;
+    // a name without one would derive a DTD that never declares it.
+    if let Some((_, name)) = state
+        .alphabet
+        .entries()
+        .find(|&(sym, _)| state.elements.get(sym).is_none())
+    {
+        return Err(format!(
+            "element {name:?} is named as a root or child but has no \"element\" section"
+        ));
+    }
     dtdinfer_obs::observe("engine.snapshot.bytes", text.len() as u64);
     Ok(state)
 }
@@ -621,16 +641,50 @@ mod tests {
     }
 
     #[test]
+    fn rejects_names_without_an_element_section() {
+        // `save` writes a section for every root and child name; a name
+        // without one would reach the DTD undeclared.
+        let child = "documents 1\nroot r 1\nelement r\noccurrences 1\nw 1 a b\n";
+        let root = "documents 1\nroot q 1\nelement r\noccurrences 1\nw 1\n";
+        for header in [HEADER, V4_HEADER, V3_HEADER] {
+            for (body, name) in [(child, "a"), (root, "q")] {
+                let mut text = format!("{header}\n{body}");
+                if header != HEADER {
+                    text.push_str("s words 1\n");
+                }
+                let err = load(&text).unwrap_err();
+                assert!(
+                    err.contains(&format!("element {name:?}")),
+                    "{header}: {err}"
+                );
+                assert!(err.contains("no \"element\" section"), "{header}: {err}");
+            }
+        }
+        // Given their sections, the names load.
+        let whole = format!("{HEADER}\n{child}element a\nw 1\nelement b\nw 1\n");
+        let state = load(&whole).unwrap();
+        assert_eq!(state.elements.len(), state.alphabet.len());
+    }
+
+    #[test]
+    fn rejects_a_second_section_for_one_element() {
+        let text = format!("{HEADER}\nelement a\noccurrences 1\nw 1\nelement a\nw 1\n");
+        let err = load(&text).unwrap_err();
+        assert!(err.contains("duplicate section for element \"a\""), "{err}");
+        assert!(err.contains("line 5"), "{err}");
+    }
+
+    #[test]
     fn multiset_rows_survive_round_trip() {
         let state = ingest(&docs(), 2).unwrap().state;
         let restored = load(&save(&state)).unwrap();
         let canon = state.canonicalized();
         let restored = restored.canonicalized();
-        for (&sym, element) in &canon.elements {
+        for (sym, element) in canon.elements.iter() {
             let name = canon.alphabet.name(sym);
             let twin = restored.alphabet.get(name).expect("same elements");
             assert_eq!(
-                restored.elements[&twin].words, element.words,
+                restored.elements[twin].words, element.words,
                 "multiset of {name}"
             );
             assert_eq!(
@@ -756,7 +810,7 @@ mod tests {
         let restored = load(&save(&state)).unwrap();
         assert_eq!(save(&restored), save(&state));
         let x = restored.alphabet.get("x").unwrap();
-        let bag = &restored.elements[&x].text_samples;
+        let bag = &restored.elements[x].text_samples;
         assert!(bag.overflowed());
         assert_eq!(bag.distinct_retained(), cap);
         assert_eq!(bag.total(), (cap * 3) as u64);

@@ -95,10 +95,15 @@ impl DocSource for PathSource {
     fn load<'s>(&'s self, index: usize, buf: &'s mut String) -> Result<&'s str, String> {
         let path = &self.paths[index];
         // Read into the buffer's own bytes, so its capacity is reused.
+        // `File::read_to_end` would first ask the file for its size and
+        // position, two syscalls per document to size a buffer that is
+        // already there; `Take`'s generic `read_to_end` reads straight
+        // into the spare capacity, growing it as needed, and retries
+        // `Interrupted`.
         let mut bytes = std::mem::take(buf).into_bytes();
         bytes.clear();
         std::fs::File::open(path)
-            .and_then(|mut file| file.read_to_end(&mut bytes))
+            .and_then(|file| file.take(u64::MAX).read_to_end(&mut bytes))
             .map_err(|e| format!("{}: {e}", path.display()))?;
         *buf = String::from_utf8(bytes)
             .map_err(|e| format!("{}: invalid UTF-8: {e}", path.display()))?;

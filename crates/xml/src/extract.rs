@@ -6,10 +6,11 @@
 //! attribute samples needed for the XSD datatype heuristics of §9.
 
 use crate::parser::{XmlError, XmlEvent, XmlPullParser};
-use crate::samples::SampleBag;
+use crate::samples::{SampleBag, SampleTally};
 use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
 use dtdinfer_regex::multiset::WordBag;
 use std::collections::BTreeMap;
+use std::ops::{Index, IndexMut};
 
 /// Everything observed about one element name: the per-element summary
 /// of both the corpus path and the sharded engine, whose snapshots persist
@@ -41,6 +42,72 @@ impl ElementFacts {
     /// Whether the element ever had character data.
     pub fn has_text(&self) -> bool {
         !self.text_samples.is_empty()
+    }
+}
+
+/// [`ElementFacts`] per element name, indexed by [`Sym::index`]: symbols
+/// are dense ids into the corpus alphabet, so the parse loop reaches an
+/// element's facts with one index at every start tag, text chunk and end
+/// tag. Iteration runs in symbol order; a symbol without facts is skipped
+/// and not counted in [`ElementTable::len`].
+#[derive(Debug, Clone, Default)]
+pub struct ElementTable {
+    slots: Vec<Option<ElementFacts>>,
+}
+
+impl ElementTable {
+    /// Number of elements with facts.
+    pub fn len(&self) -> usize {
+        self.values().count()
+    }
+
+    /// Whether no element has facts.
+    pub fn is_empty(&self) -> bool {
+        self.values().next().is_none()
+    }
+
+    /// The facts of `sym`, if it has any.
+    pub fn get(&self, sym: Sym) -> Option<&ElementFacts> {
+        self.slots.get(sym.index())?.as_ref()
+    }
+
+    /// The facts of `sym`, created empty if it has none yet.
+    pub fn entry(&mut self, sym: Sym) -> &mut ElementFacts {
+        let i = sym.index();
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i].get_or_insert_with(ElementFacts::default)
+    }
+
+    /// `(symbol, facts)` pairs in symbol order.
+    pub fn iter(&self) -> impl Iterator<Item = (Sym, &ElementFacts)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((Sym(i as u32), slot.as_ref()?)))
+    }
+
+    /// The facts in symbol order.
+    pub fn values(&self) -> impl Iterator<Item = &ElementFacts> + Clone {
+        self.slots.iter().flatten()
+    }
+}
+
+impl Index<Sym> for ElementTable {
+    type Output = ElementFacts;
+
+    fn index(&self, sym: Sym) -> &ElementFacts {
+        self.get(sym).expect("no facts for this symbol")
+    }
+}
+
+impl IndexMut<Sym> for ElementTable {
+    fn index_mut(&mut self, sym: Sym) -> &mut ElementFacts {
+        self.slots
+            .get_mut(sym.index())
+            .and_then(Option::as_mut)
+            .expect("no facts for this symbol")
     }
 }
 
@@ -92,8 +159,8 @@ impl ParseArena {
 pub struct Corpus {
     /// Interned element names.
     pub alphabet: Alphabet,
-    /// Facts per element.
-    pub elements: BTreeMap<Sym, ElementFacts>,
+    /// Facts per element, indexed by symbol.
+    pub elements: ElementTable,
     /// Root elements observed, with counts (document order of first root
     /// wins ties in [`Corpus::root`]).
     pub roots: BTreeMap<Sym, u64>,
@@ -115,11 +182,26 @@ impl Corpus {
     /// [`Corpus::add_document`] with caller-owned scratch: a worker that
     /// ingests many documents reuses one [`ParseArena`], so the
     /// per-document element stack and child words come from recycled
-    /// buffers. Each closing element adds its child sequence to its
-    /// element's multiset by reference: a shape seen before costs one
-    /// binary search and an increment. The loop touches no metrics
-    /// registry, so callers pay for at most the one count they add.
+    /// buffers. Each event reaches its element's facts with one index
+    /// into the [`ElementTable`], and each closing element adds its child
+    /// sequence to its element's multiset by reference: a shape seen
+    /// before costs one binary search and an increment. The loop touches
+    /// no metrics registry: the reservoirs' overflows and evictions are
+    /// tallied and published once, when the document ends.
     pub fn add_document_with(&mut self, doc: &str, arena: &mut ParseArena) -> Result<(), XmlError> {
+        let mut tally = SampleTally::default();
+        let parsed = self.absorb_events(doc, arena, &mut tally);
+        tally.publish();
+        parsed
+    }
+
+    /// The parse loop of [`Corpus::add_document_with`].
+    fn absorb_events(
+        &mut self,
+        doc: &str,
+        arena: &mut ParseArena,
+        tally: &mut SampleTally,
+    ) -> Result<(), XmlError> {
         let mut parser = XmlPullParser::new(doc);
         let mut seen_root = false;
         loop {
@@ -136,19 +218,20 @@ impl Corpus {
                     name, attributes, ..
                 } => {
                     let sym = self.alphabet.intern(name);
-                    let facts = self.elements.entry(sym).or_default();
+                    let facts = self.elements.entry(sym);
                     facts.occurrences += 1;
                     for (attr, value) in &attributes {
                         // Allocate the attribute name only on first sight.
-                        if let Some(bag) = facts.attributes.get_mut(*attr) {
-                            bag.insert(value);
+                        let retention = if let Some(bag) = facts.attributes.get_mut(*attr) {
+                            bag.insert(value)
                         } else {
                             facts
                                 .attributes
                                 .entry((*attr).to_owned())
                                 .or_default()
-                                .insert(value);
-                        }
+                                .insert(value)
+                        };
+                        tally.add(retention);
                     }
                     if let Some((_, children)) = arena.stack.last_mut() {
                         children.push(sym);
@@ -161,11 +244,7 @@ impl Corpus {
                 }
                 XmlEvent::EndElement { .. } => {
                     let (sym, mut children) = arena.stack.pop().expect("parser checks balance");
-                    self.elements
-                        .entry(sym)
-                        .or_default()
-                        .words
-                        .insert_ref(&children);
+                    self.elements[sym].words.insert_ref(&children);
                     children.clear();
                     arena.spare.push(children);
                 }
@@ -173,11 +252,7 @@ impl Corpus {
                     let trimmed = text.trim();
                     if !trimmed.is_empty() {
                         if let Some(&mut (sym, _)) = arena.stack.last_mut() {
-                            self.elements
-                                .entry(sym)
-                                .or_default()
-                                .text_samples
-                                .insert(trimmed);
+                            tally.add(self.elements[sym].text_samples.insert(trimmed));
                         }
                     }
                 }
@@ -208,15 +283,12 @@ impl Corpus {
         names.sort_unstable();
         let alphabet = Alphabet::from_names(&names);
         let map = |s: Sym| alphabet.get(self.alphabet.name(s)).expect("same name set");
-        let elements = self
-            .elements
-            .iter()
-            .map(|(&sym, facts)| {
-                let mut facts = facts.clone();
-                facts.words = facts.words.map_symbols(map);
-                (map(sym), facts)
-            })
-            .collect();
+        let mut elements = ElementTable::default();
+        for (sym, facts) in self.elements.iter() {
+            let canonical = elements.entry(map(sym));
+            *canonical = facts.clone();
+            canonical.words = facts.words.map_symbols(map);
+        }
         let roots = self.roots.iter().map(|(&s, &c)| (map(s), c)).collect();
         Corpus {
             alphabet,
@@ -229,7 +301,7 @@ impl Corpus {
     /// The child-sequence multiset of one element name.
     pub fn sequences_of(&self, name: &str) -> Option<&WordBag> {
         let sym = self.alphabet.get(name)?;
-        self.elements.get(&sym).map(|f| &f.words)
+        self.elements.get(sym).map(|f| &f.words)
     }
 
     /// Total number of extracted words (occurrences, not distinct
@@ -279,14 +351,14 @@ mod tests {
         c.add_document(r#"<r id="7"><t>  hello </t><t>42</t></r>"#)
             .unwrap();
         let t = c.alphabet.get("t").unwrap();
-        let texts: Vec<_> = c.elements[&t].text_samples.entries().collect();
+        let texts: Vec<_> = c.elements[t].text_samples.entries().collect();
         assert_eq!(texts, vec![("42", 1), ("hello", 1)]);
         let r = c.alphabet.get("r").unwrap();
-        let ids: Vec<_> = c.elements[&r].attributes["id"].entries().collect();
+        let ids: Vec<_> = c.elements[r].attributes["id"].entries().collect();
         assert_eq!(ids, vec![("7", 1)]);
-        assert!(c.elements[&t].has_text());
-        assert!(!c.elements[&t].has_element_children());
-        assert!(c.elements[&r].has_element_children());
+        assert!(c.elements[t].has_text());
+        assert!(!c.elements[t].has_element_children());
+        assert!(c.elements[r].has_element_children());
     }
 
     #[test]
@@ -300,12 +372,12 @@ mod tests {
                 .unwrap();
         }
         let t = c.alphabet.get("t").unwrap();
-        let bag = &c.elements[&t].text_samples;
+        let bag = &c.elements[t].text_samples;
         assert_eq!(bag.distinct_retained(), cap);
         assert!(bag.overflowed());
         assert_eq!(bag.total(), (cap * 10) as u64);
         let r = c.alphabet.get("r").unwrap();
-        let ids = &c.elements[&r].attributes["k"];
+        let ids = &c.elements[r].attributes["k"];
         assert_eq!(ids.distinct_retained(), cap);
         assert_eq!(ids.total(), (cap * 10) as u64);
     }
@@ -325,7 +397,7 @@ mod tests {
         let mut c = Corpus::new();
         c.add_document("<r>\n  <a/>\n</r>").unwrap();
         let r = c.alphabet.get("r").unwrap();
-        assert!(!c.elements[&r].has_text());
+        assert!(!c.elements[r].has_text());
     }
 
     #[test]
@@ -348,7 +420,7 @@ mod tests {
         // Same facts, relabeled.
         assert_eq!(canon.num_documents, 1);
         let z = canon.alphabet.get("z").unwrap();
-        let word = canon.elements[&z]
+        let word = canon.elements[z]
             .words
             .words()
             .next()
@@ -375,7 +447,7 @@ mod tests {
         let mut c = Corpus::new();
         c.add_document("<r><a/><a/><a/></r>").unwrap();
         let a = c.alphabet.get("a").unwrap();
-        assert_eq!(c.elements[&a].occurrences, 3);
+        assert_eq!(c.elements[a].occurrences, 3);
         assert_eq!(c.total_sequences(), 4);
     }
 }

@@ -161,7 +161,7 @@ impl Derivation {
         );
         self.dtd.root = corpus.root().map(|s| self.canonical[s.index()]);
         let mut relearned = 0;
-        for (&sym, facts) in &corpus.elements {
+        for (sym, facts) in corpus.elements.iter() {
             let canon = self.canonical[sym.index()];
             let cached = &self.reports[canon.index()];
             if cached.as_ref().map(|r| r.occurrences) == Some(facts.occurrences) {

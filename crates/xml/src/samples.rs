@@ -42,27 +42,57 @@
 //! [`SampleBag::all_nmtoken`] are computed over *all* values ever seen,
 //! not just the retained sample.
 
-use crate::datatype::{matches_type, XsdType};
+use crate::datatype::{classify, most_specific, XsdType, ALL_VIABLE};
 
 /// Default cap on distinct retained values. Must stay ≥ the attribute
 /// inference `max_enumeration` so that an overflowed bag can never have
 /// been enumeration-eligible (see [`crate::attlist`]).
 pub const DEFAULT_SAMPLE_CAP: usize = 64;
 
-/// Datatype preference order mirrored by the viability bitmask (most
-/// specific first; `xs:string` is the implicit fallback).
-const ORDER: [XsdType; 7] = [
-    XsdType::Boolean,
-    XsdType::Integer,
-    XsdType::Double,
-    XsdType::Date,
-    XsdType::Time,
-    XsdType::DateTime,
-    XsdType::NmToken,
-];
+/// What [`SampleBag::insert`] did with a value. The parse loop tallies
+/// the last two per document, so no insert touches the metrics registry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retention {
+    /// The value was counted among the retained ones.
+    Kept,
+    /// The bag was full and the value ranked above all it retains.
+    Rejected,
+    /// The value was retained and pushed the last-ranked one out.
+    Evicted,
+}
 
-/// All seven viability bits set (the empty-bag state).
-const ALL_VIABLE: u8 = 0x7f;
+/// The reservoir pressure one document caused: its overflowed and
+/// evicting inserts, published as the `xml.samples.overflow` and
+/// `xml.samples.evictions` counters once the document ends.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SampleTally {
+    overflow: u64,
+    evictions: u64,
+}
+
+impl SampleTally {
+    /// Counts one insert's outcome.
+    pub(crate) fn add(&mut self, retention: Retention) {
+        match retention {
+            Retention::Kept => {}
+            Retention::Rejected => self.overflow += 1,
+            Retention::Evicted => {
+                self.overflow += 1;
+                self.evictions += 1;
+            }
+        }
+    }
+
+    /// Adds each non-zero count to its registry counter.
+    pub(crate) fn publish(self) {
+        if self.overflow > 0 {
+            dtdinfer_obs::count("xml.samples.overflow", self.overflow);
+        }
+        if self.evictions > 0 {
+            dtdinfer_obs::count("xml.samples.evictions", self.evictions);
+        }
+    }
+}
 
 /// A retained value with its fixed priority and exact occurrence count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +118,7 @@ pub struct SampleBag {
     /// Total observations, including values not retained.
     total: u64,
     /// Datatype-viability bitmask over *all* observations (bit i ↔
-    /// `ORDER[i]` still matches every value seen).
+    /// `datatype::ORDER[i]` still matches every value seen).
     viable: u8,
     /// Whether more than `cap` distinct values were observed.
     overflowed: bool,
@@ -114,23 +144,19 @@ impl SampleBag {
         }
     }
 
-    /// Records one observation of `value`.
-    pub fn insert(&mut self, value: &str) {
+    /// Records one observation of `value` and says whether a full bag
+    /// turned it away or evicted another value for it.
+    pub fn insert(&mut self, value: &str) -> Retention {
         self.total += 1;
         if self.viable != 0 {
-            for (i, t) in ORDER.iter().enumerate() {
-                if self.viable & (1 << i) != 0 && !matches_type(value, *t) {
-                    self.viable &= !(1 << i);
-                }
-            }
+            self.viable = classify(value, self.viable);
         }
         let key = (priority(value), value);
         // Full and above the threshold: never retained before (the
         // threshold only decreases), never retainable again.
         if self.kept.len() >= self.cap && self.kept.last().is_some_and(|last| key > last.key()) {
             self.overflowed = true;
-            dtdinfer_obs::count("xml.samples.overflow", 1);
-            return;
+            return Retention::Rejected;
         }
         match self.kept.binary_search_by(|k| k.key().cmp(&key)) {
             Ok(i) => self.kept[i].count += 1,
@@ -146,11 +172,11 @@ impl SampleBag {
                 if self.kept.len() > self.cap {
                     self.kept.pop();
                     self.overflowed = true;
-                    dtdinfer_obs::count("xml.samples.overflow", 1);
-                    dtdinfer_obs::count("xml.samples.evictions", 1);
+                    return Retention::Evicted;
                 }
             }
         }
+        Retention::Kept
     }
 
     /// Folds another bag in: totals add, viability masks intersect,
@@ -245,12 +271,7 @@ impl SampleBag {
         if self.total == 0 {
             return XsdType::String;
         }
-        ORDER
-            .iter()
-            .enumerate()
-            .find(|(i, _)| self.viable & (1 << i) != 0)
-            .map(|(_, &t)| t)
-            .unwrap_or(XsdType::String)
+        most_specific(self.viable)
     }
 
     /// Serializable parts: `(total, viable mask, overflowed)`; the counts
@@ -326,6 +347,7 @@ fn priority(value: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datatype::{matches_type, ORDER};
     use proptest::prelude::*;
 
     fn filled(values: &[&str], cap: usize) -> SampleBag {
@@ -362,13 +384,17 @@ mod tests {
         let mut values: Vec<String> = (0..200).map(|i| format!("v{i}")).collect();
         let forward = {
             let mut bag = SampleBag::with_cap(10);
-            values.iter().for_each(|v| bag.insert(v));
+            values.iter().for_each(|v| {
+                bag.insert(v);
+            });
             bag
         };
         values.reverse();
         let backward = {
             let mut bag = SampleBag::with_cap(10);
-            values.iter().for_each(|v| bag.insert(v));
+            values.iter().for_each(|v| {
+                bag.insert(v);
+            });
             bag
         };
         assert_eq!(forward, backward);
@@ -395,15 +421,21 @@ mod tests {
         let values: Vec<String> = (0..120).map(|i| format!("v{}", i % 37)).collect();
         let sequential = {
             let mut bag = SampleBag::with_cap(12);
-            values.iter().for_each(|v| bag.insert(v));
+            values.iter().for_each(|v| {
+                bag.insert(v);
+            });
             bag
         };
         for split in [1, 13, 60, 119] {
             let (left, right) = values.split_at(split);
             let mut a = SampleBag::with_cap(12);
-            left.iter().for_each(|v| a.insert(v));
+            left.iter().for_each(|v| {
+                a.insert(v);
+            });
             let mut b = SampleBag::with_cap(12);
-            right.iter().for_each(|v| b.insert(v));
+            right.iter().for_each(|v| {
+                b.insert(v);
+            });
             a.merge(&b);
             assert_eq!(a, sequential, "split at {split}");
         }
@@ -437,14 +469,20 @@ mod tests {
         let values: Vec<String> = (0..40).map(|i| format!("v{i}")).collect();
         let sequential = {
             let mut bag = SampleBag::with_cap(6);
-            values.iter().for_each(|v| bag.insert(v));
+            values.iter().for_each(|v| {
+                bag.insert(v);
+            });
             bag
         };
         let (left, right) = values.split_at(17);
         let mut a = SampleBag::with_cap(6);
-        left.iter().for_each(|v| a.insert(v));
+        left.iter().for_each(|v| {
+            a.insert(v);
+        });
         let mut b = SampleBag::with_cap(24);
-        right.iter().for_each(|v| b.insert(v));
+        right.iter().for_each(|v| {
+            b.insert(v);
+        });
         a.merge(&b);
         assert_eq!(a.cap(), 6);
         assert_eq!(a.total(), sequential.total());

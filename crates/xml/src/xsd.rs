@@ -70,7 +70,7 @@ pub fn generate_xsd(dtd: &Dtd, corpus: Option<&Corpus>, options: XsdOptions) -> 
                 // canonical (name-sorted) and need not share ids with the
                 // corpus the caller extracted.
                 let ty = corpus
-                    .and_then(|c| c.alphabet.get(name).and_then(|s| c.elements.get(&s)))
+                    .and_then(|c| c.alphabet.get(name).and_then(|s| c.elements.get(s)))
                     .map(|f| f.text_samples.datatype())
                     .unwrap_or(crate::datatype::XsdType::String);
                 if attrs.is_empty() {
@@ -171,7 +171,7 @@ fn render_content(
         let facts = corpus
             .alphabet
             .get(alphabet.name(sym))
-            .and_then(|s| corpus.elements.get(&s));
+            .and_then(|s| corpus.elements.get(s));
         if let (Some(factors), Some(facts)) = (as_chare(regex), facts) {
             // The corpus may intern names in a different order than the
             // canonical DTD alphabet: translate the observed words by name

@@ -106,7 +106,7 @@ fn tree_strategy() -> impl Strategy<Value = Tree> {
 fn corpus_words(c: &Corpus) -> Vec<(String, Vec<Vec<String>>)> {
     c.elements
         .iter()
-        .map(|(&sym, facts)| {
+        .map(|(sym, facts)| {
             (
                 c.alphabet.name(sym).to_owned(),
                 facts
@@ -253,8 +253,8 @@ fn reservoirs_stay_bounded_ten_times_past_cap() {
     }
     let log = corpus.alphabet.get("log").unwrap();
     let msg = corpus.alphabet.get("msg").unwrap();
-    let ids = &corpus.elements[&log].attributes["id"];
-    let msgs = &corpus.elements[&msg].text_samples;
+    let ids = &corpus.elements[log].attributes["id"];
+    let msgs = &corpus.elements[msg].text_samples;
     for bag in [ids, msgs] {
         assert_eq!(bag.distinct_retained(), DEFAULT_SAMPLE_CAP);
         assert!(bag.overflowed());
