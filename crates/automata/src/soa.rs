@@ -91,26 +91,8 @@ impl Soa {
         }
     }
 
-    /// Merges `other` into this automaton: the result is the SOA of the
-    /// smallest 2-testable language containing both languages (componentwise
-    /// union of the `(I, F, S, ε)` characterization).
-    ///
-    /// Because 2T-INF is itself a union of per-word contributions,
-    /// `merge(learn(A), learn(B)) == learn(A ∪ B)` — the property that makes
-    /// sharded corpus ingestion exact: shard-local automata merged in any
-    /// order equal the sequential automaton.
-    pub fn merge(&mut self, other: &Soa) {
-        self.states.extend(other.states.iter().copied());
-        self.edges.extend(other.edges.iter().copied());
-        self.initial.extend(other.initial.iter().copied());
-        self.finals.extend(other.finals.iter().copied());
-        self.accepts_empty |= other.accepts_empty;
-        dtdinfer_obs::count("automata.soa.merges", 1);
-    }
-
-    /// Rebuilds the automaton under a symbol translation (used when merging
-    /// automata built over different [`Alphabet`]s: translate into the
-    /// target alphabet first, then [`Soa::merge`]).
+    /// Rebuilds the automaton under a symbol translation, e.g. into
+    /// another [`Alphabet`].
     ///
     /// `f` must be injective on this automaton's states; otherwise distinct
     /// states would collapse and the language would grow.
@@ -193,76 +175,6 @@ impl Soa {
             .iter()
             .filter(move |&&(_, b)| b == s)
             .map(|&(a, _)| a)
-    }
-
-    /// Serializes the automaton to a line-oriented text format (for the
-    /// incremental-inference workflows of §9: persist the SOA between
-    /// sessions instead of the XML corpus).
-    ///
-    /// Format (one record per line): `state NAME`, `initial NAME`,
-    /// `final NAME`, `edge NAME NAME`, `empty`.
-    pub fn to_text(&self, alphabet: &Alphabet) -> String {
-        let mut out = String::from("#dtdinfer-soa v1\n");
-        for &s in &self.states {
-            out.push_str(&format!("state {}\n", alphabet.name(s)));
-        }
-        for &s in &self.initial {
-            out.push_str(&format!("initial {}\n", alphabet.name(s)));
-        }
-        for &s in &self.finals {
-            out.push_str(&format!("final {}\n", alphabet.name(s)));
-        }
-        for &(a, b) in &self.edges {
-            out.push_str(&format!("edge {} {}\n", alphabet.name(a), alphabet.name(b)));
-        }
-        if self.accepts_empty {
-            out.push_str("empty\n");
-        }
-        out
-    }
-
-    /// Parses the [`Soa::to_text`] format, interning names into `alphabet`.
-    pub fn from_text(text: &str, alphabet: &mut Alphabet) -> Result<Self, String> {
-        let mut soa = Soa::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let kind = parts.next().expect("non-empty line");
-            let mut arg = || {
-                parts
-                    .next()
-                    .ok_or_else(|| format!("line {}: missing name", lineno + 1))
-            };
-            match kind {
-                "state" => {
-                    let s = alphabet.intern(arg()?);
-                    soa.states.insert(s);
-                }
-                "initial" => {
-                    let s = alphabet.intern(arg()?);
-                    soa.states.insert(s);
-                    soa.initial.insert(s);
-                }
-                "final" => {
-                    let s = alphabet.intern(arg()?);
-                    soa.states.insert(s);
-                    soa.finals.insert(s);
-                }
-                "edge" => {
-                    let a = alphabet.intern(arg()?);
-                    let b = alphabet.intern(arg()?);
-                    soa.states.insert(a);
-                    soa.states.insert(b);
-                    soa.edges.insert((a, b));
-                }
-                "empty" => soa.accepts_empty = true,
-                other => return Err(format!("line {}: unknown record {other:?}", lineno + 1)),
-            }
-        }
-        Ok(soa)
     }
 
     /// Graphviz rendering (used by examples and docs).
@@ -424,35 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_learning_the_union() {
-        let mut al = Alphabet::new();
-        let all = sample(&mut al, &["bacacdacde", "cbacdbacde", "abccaadcde", ""]);
-        let whole = Soa::learn(&all);
-        // Every 2-way split merges back to the automaton of the union.
-        for cut in 0..=all.len() {
-            let mut left = Soa::learn(&all[..cut]);
-            let right = Soa::learn(&all[cut..]);
-            left.merge(&right);
-            assert_eq!(left, whole, "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn merge_is_commutative_and_idempotent() {
-        let mut al = Alphabet::new();
-        let a = Soa::learn(&sample(&mut al, &["abc", "ca"]));
-        let b = Soa::learn(&sample(&mut al, &["bb", "c"]));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        let mut again = ab.clone();
-        again.merge(&ab.clone());
-        assert_eq!(again, ab);
-    }
-
-    #[test]
     fn remap_translates_every_component() {
         let mut al = Alphabet::new();
         let soa = Soa::learn(&sample(&mut al, &["ab", ""]));
@@ -475,29 +358,6 @@ mod tests {
         assert!(soa.accepts(&[a, b]));
         assert!(!soa.accepts(&[a]));
         assert_eq!(soa.num_states(), 2);
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let mut al = Alphabet::new();
-        let words = sample(&mut al, &["bacacdacde", "cbacdbacde", ""]);
-        let soa = Soa::learn(&words);
-        let text = soa.to_text(&al);
-        let mut al2 = Alphabet::new();
-        let back = Soa::from_text(&text, &mut al2).unwrap();
-        // Compare via re-serialization over the new alphabet ordering.
-        assert_eq!(back.to_text(&al2), text);
-        assert!(back.accepts_empty);
-        assert_eq!(back.num_edges(), soa.num_edges());
-    }
-
-    #[test]
-    fn text_rejects_garbage() {
-        let mut al = Alphabet::new();
-        assert!(Soa::from_text("bogus a", &mut al).is_err());
-        assert!(Soa::from_text("edge a", &mut al).is_err());
-        // Comments and blank lines are fine.
-        assert!(Soa::from_text("#hi\n\nstate a\n", &mut al).is_ok());
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub use dtdinfer_regex as regex;
 /// DFA-based language comparison.
 pub use dtdinfer_automata as automata;
 
-/// The inference algorithms: `rewrite`, `iDTD`, `CRX`, incremental state,
-/// noise handling.
+/// The inference algorithms: `rewrite`, `iDTD`, `CRX`, k-ORE and the MDL
+/// chooser, noise handling.
 pub use dtdinfer_core as core;
 
 /// XML substrate: pull parser, corpus extraction, DTD model/validation,

@@ -7,21 +7,20 @@
 //! dtdinfer validate --dtd SCHEMA.dtd FILE...
 //! dtdinfer fuzz [--seed S] [--cases N] [--replay CASE]
 //! dtdinfer sample [--count N] [--seed S] 'EXPRESSION'
-//! dtdinfer learn [--engine ...] [--render dtd|paper]  (words on stdin)
+//! dtdinfer learn [--engine ...] [--state FILE]  (words on stdin)
 //! ```
 //!
 //! `infer`, `stats`, and `learn` also accept the observability flags
 //! `--metrics <FILE|->`, `--trace <FILE|->`, `--trace-format jsonl|chrome`,
 //! and `-v`/`--verbose`; see the README's Observability section.
 
-use dtdinfer_core::crx::crx;
-use dtdinfer_core::idtd::idtd_from_words;
 use dtdinfer_engine::pool::{ingest_source, Ingest};
 use dtdinfer_engine::source::PathSource;
 use dtdinfer_engine::{snapshot, EngineState};
 use dtdinfer_regex::alphabet::{Alphabet, Word};
+use dtdinfer_regex::multiset::WordBag;
 use dtdinfer_xml::dtd::Dtd;
-use dtdinfer_xml::infer::{ElementReport, InferenceEngine};
+use dtdinfer_xml::infer::{learn_model, ElementReport, InferenceEngine};
 use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
 use std::io::Read;
 use std::process::ExitCode;
@@ -39,10 +38,9 @@ struct ObsOptions {
     /// `--metrics <FILE|->`: write the metrics snapshot.
     metrics: Option<String>,
     /// `--metrics-format json|openmetrics`: snapshot serialization
-    /// (default json; openmetrics is the Prometheus text exposition the
-    /// future `serve` daemon's `/metrics` endpoint will speak). `None`
-    /// when the flag was not given, so a lone `--metrics-format` can be
-    /// rejected.
+    /// (default json; openmetrics is the Prometheus text exposition that
+    /// `serve`'s `/metrics` endpoint also speaks). `None` when the flag
+    /// was not given, so a lone `--metrics-format` can be rejected.
     metrics_format: Option<MetricsFormat>,
     /// `--trace <FILE|->`: write the span/event trace.
     trace: Option<String>,
@@ -382,9 +380,12 @@ USAGE:
   dtdinfer learn [OPTIONS]              learn an expression from words on
                                         stdin (one word per line, symbols
                                         whitespace-separated)
-      --engine crx|idtd|kore            learner (default: idtd)
-      --state FILE                      incremental mode: load/merge/save
-                                        the learner's state file
+      --engine E                        learner: crx, idtd,
+                                        idtd-noise:<N>, kore, auto
+                                        (default: idtd)
+      --state FILE                      incremental mode: learn from the
+                                        words saved in FILE plus stdin's,
+                                        then save them all to FILE
   dtdinfer explain                      like learn --engine idtd, but print
                                         the full rewrite/repair derivation
                                         (Figure 3 of the paper)
@@ -1347,15 +1348,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     if !args.is_empty() {
         return Err("explain takes no options; words are read from stdin".into());
     }
-    let mut input = String::new();
-    std::io::stdin()
-        .read_to_string(&mut input)
-        .map_err(|e| e.to_string())?;
     let mut al = Alphabet::new();
-    let words: Vec<Word> = input
-        .lines()
-        .map(|line| line.split_whitespace().map(|t| al.intern(t)).collect())
-        .collect();
+    let words = read_words(&mut al)?;
     let soa = dtdinfer_automata::soa::Soa::learn(&words);
     println!(
         "2T-INF: SOA with {} states, {} edges",
@@ -1424,91 +1418,54 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads stdin as words, one per line with whitespace-separated symbols,
+/// interning the symbols into `al` in order of appearance.
+fn read_words(al: &mut Alphabet) -> Result<Vec<Word>, String> {
+    let mut input = String::new();
+    std::io::stdin()
+        .read_to_string(&mut input)
+        .map_err(|e| e.to_string())?;
+    Ok(input
+        .lines()
+        .map(|line| line.split_whitespace().map(|t| al.intern(t)).collect())
+        .collect())
+}
+
+/// `dtdinfer learn`: one model from the words on stdin. With `--state`
+/// the counted words of earlier runs are loaded first (§9: the memory is
+/// the word multiset, from which every learner is rebuilt), and the file
+/// is rewritten with stdin's words added. Loading first gives every name
+/// the symbol one run over all the words would give it, so where the
+/// stream was split cannot change a tie.
 fn cmd_learn(args: &[String]) -> Result<(), String> {
-    let mut engine = "idtd".to_owned();
+    let mut engine = InferenceEngine::Idtd;
     let mut state_path: Option<String> = None;
     let mut obs = ObsOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--engine" => engine = it.next().ok_or("--engine needs a value")?.to_owned(),
+            "--engine" => engine = parse_engine(it.next().ok_or("--engine needs a value")?)?,
             "--state" => state_path = Some(it.next().ok_or("--state needs a value")?.to_owned()),
             a if obs.take(a, &mut it)? => {}
-            other => return Err(format!("unknown option {other:?}")),
+            other => return Err(format!("unknown option {other:?} (try --help)")),
         }
     }
     obs.activate()?;
-    let mut input = String::new();
-    std::io::stdin()
-        .read_to_string(&mut input)
-        .map_err(|e| e.to_string())?;
-    let mut al = Alphabet::new();
-    let words: Vec<Word> = input
-        .lines()
-        .map(|line| line.split_whitespace().map(|t| al.intern(t)).collect())
-        .collect();
-    if let Some(path) = state_path {
-        // Incremental mode (§9): the persisted internal representation (the
-        // SOA for iDTD, the partial-order summary for crx) is the complete
-        // memory of all previously seen words.
-        let existing = match std::fs::read_to_string(&path) {
-            Ok(text) => Some(text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+    let (mut al, mut bag): (Alphabet, WordBag) = match &state_path {
+        Some(path) => match std::fs::read_to_string(path) {
+            Ok(text) => snapshot::load_words(&text).map_err(|e| format!("{path}: {e}"))?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Default::default(),
             Err(e) => return Err(format!("{path}: {e}")),
-        };
-        match engine.as_str() {
-            "idtd" => {
-                let mut soa = match &existing {
-                    Some(text) => dtdinfer_automata::soa::Soa::from_text(text, &mut al)
-                        .map_err(|e| format!("{path}: {e}"))?,
-                    None => dtdinfer_automata::soa::Soa::new(),
-                };
-                for w in &words {
-                    soa.absorb(w);
-                }
-                std::fs::write(&path, soa.to_text(&al)).map_err(|e| format!("{path}: {e}"))?;
-                println!("{}", dtdinfer_core::idtd::idtd(&soa).render(&al));
-            }
-            "crx" => {
-                let mut state = match &existing {
-                    Some(text) => dtdinfer_core::crx::CrxState::from_text(text, &mut al)
-                        .map_err(|e| format!("{path}: {e}"))?,
-                    None => dtdinfer_core::crx::CrxState::new(),
-                };
-                for w in &words {
-                    state.absorb(w);
-                }
-                std::fs::write(&path, state.to_text(&al)).map_err(|e| format!("{path}: {e}"))?;
-                println!("{}", state.infer().render(&al));
-            }
-            "kore" => {
-                let mut state = match &existing {
-                    Some(text) => dtdinfer_core::kore::KoreState::from_text(text, &mut al)
-                        .map_err(|e| format!("{path}: {e}"))?,
-                    None => dtdinfer_core::kore::KoreState::new(),
-                };
-                for w in &words {
-                    state.absorb(w);
-                }
-                std::fs::write(&path, state.to_text(&al)).map_err(|e| format!("{path}: {e}"))?;
-                println!("{}", state.derive().model.render(&al));
-            }
-            other => return Err(format!("--state does not support engine {other:?}")),
-        }
-        return obs.finish();
-    }
-    let model = match engine.as_str() {
-        "crx" => crx(&words),
-        "idtd" => idtd_from_words(&words),
-        "kore" => {
-            let mut state = dtdinfer_core::kore::KoreState::new();
-            for w in &words {
-                state.absorb(w);
-            }
-            state.derive().model
-        }
-        other => return Err(format!("unknown engine {other:?}")),
+        },
+        None => Default::default(),
     };
-    println!("{}", model.render(&al));
+    for w in read_words(&mut al)? {
+        bag.insert(w);
+    }
+    if let Some(path) = &state_path {
+        std::fs::write(path, snapshot::save_words(&al, &bag))
+            .map_err(|e| format!("{path}: {e}"))?;
+    }
+    println!("{}", learn_model(&bag, al.len(), engine).model.render(&al));
     obs.finish()
 }

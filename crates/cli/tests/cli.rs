@@ -466,6 +466,81 @@ fn incremental_state_file() {
     assert_eq!(second.trim(), "a* b", "state must accumulate");
 }
 
+/// `learn --state` keeps the counted words and loads them before stdin, so
+/// every name gets the symbol one run over all the words gives it: where
+/// the stream is split changes neither the printed model nor the state
+/// file, under every engine. CRX and iDTD break ties by symbol order, so
+/// had `e d` interned `d` before `a` and `c`, crx would print
+/// `e d? a? c?` after `e a c` instead of `e a? c? d?`.
+#[test]
+fn learn_state_split_anywhere_equals_one_run() {
+    let words = ["e a c", "e d", "a b a", "b c", "", "c a b a", "d e d", "e"];
+    let lines = |part: &[&str]| -> String { part.iter().map(|w| format!("{w}\n")).collect() };
+    let dir = tempdir();
+    for engine in ["crx", "idtd", "idtd-noise:2", "kore", "auto"] {
+        let (expected, stderr, ok) = run_with_stdin(&["learn", "--engine", engine], &lines(&words));
+        assert!(ok, "{engine}: {stderr}");
+        let whole = dir.join(format!("whole-{engine}.words"));
+        let _ = std::fs::remove_file(&whole);
+        let learn = ["learn", "--engine", engine, "--state"];
+        let (printed, _, ok) = run_with_stdin(
+            &[&learn[..], &[whole.to_str().unwrap()]].concat(),
+            &lines(&words),
+        );
+        assert!(ok);
+        assert_eq!(printed, expected, "{engine}: one --state run");
+        let whole_state = std::fs::read_to_string(&whole).unwrap();
+        for cut in 0..=words.len() {
+            let state = dir.join(format!("split-{engine}-{cut}.words"));
+            let _ = std::fs::remove_file(&state);
+            let args = [&learn[..], &[state.to_str().unwrap()]].concat();
+            let (_, stderr, ok) = run_with_stdin(&args, &lines(&words[..cut]));
+            assert!(ok, "{engine}, split at {cut}: {stderr}");
+            let (printed, stderr, ok) = run_with_stdin(&args, &lines(&words[cut..]));
+            assert!(ok, "{engine}, split at {cut}: {stderr}");
+            assert_eq!(printed, expected, "{engine}, split at {cut}");
+            let split_state = std::fs::read_to_string(&state).unwrap();
+            assert_eq!(split_state, whole_state, "{engine}, split at {cut}");
+        }
+    }
+}
+
+/// A state file `learn` cannot continue from is refused, naming the file
+/// and the line, and left as it was: a per-learner file of an earlier
+/// build holds no words, and a zero-count row is corrupt. (The file is
+/// read before stdin, so stdin stays empty: a refusal exits unread.)
+#[test]
+fn learn_state_rejects_learner_files_and_zero_count_rows() {
+    let dir = tempdir();
+    for (file, text, wanted) in [
+        (
+            "old.soa",
+            "#dtdinfer-soa v1\nstate a\ninitial a\nfinal a\n",
+            "line 1: ",
+        ),
+        (
+            "zero.words",
+            "#dtdinfer-words v1\nname a\nw 0 a\n",
+            "line 3: ",
+        ),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, text).unwrap();
+        let (stdout, stderr, ok) =
+            run_with_stdin(&["learn", "--state", path.to_str().unwrap()], "");
+        assert!(!ok, "{file}: {stdout}");
+        assert!(stdout.is_empty(), "{file}: {stdout}");
+        let located = format!("{}: {wanted}", path.display());
+        assert!(stderr.contains(&located), "{file}: {stderr}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "{file}");
+    }
+    let (_, stderr, _) = run_with_stdin(
+        &["learn", "--state", dir.join("old.soa").to_str().unwrap()],
+        "",
+    );
+    assert!(stderr.contains("re-learn it from its words"), "{stderr}");
+}
+
 #[test]
 fn validate_lint_flags_nondeterministic_models() {
     let dir = tempdir();
@@ -516,6 +591,7 @@ fn unknown_options_are_rejected() {
         vec!["sample", "--frequency", "3", "(a | b)"],
         vec!["validate", "--dtd", "s.dtd", "--strict", "x.xml"],
         vec!["stats", "--wat", "x.xml"],
+        vec!["learn", "--render", "dtd"],
     ] {
         let (stdout, stderr, ok) = run_with_stdin(&args, "");
         assert!(!ok, "{args:?} must fail: {stdout}");

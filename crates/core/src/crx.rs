@@ -29,15 +29,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Streaming state of CRX: the induced order and occurrence statistics.
 ///
-/// This is the "internal representation" the incremental-computation
-/// extension of §9 keeps per element name; `absorb` folds in new words and
-/// `infer` recomputes the CHARE at any point.
-/// Every component is a set, a multiset, or a count, so the state is
-/// invariant under permutation of the absorbed words and two states can be
-/// [merged](CrxState::merge) in any order (the incremental CHARE learner's
-/// merge). Ties (topological order, members of a
-/// disjunction) are broken by `Sym` order, which equals first-occurrence
-/// order whenever the alphabet was interned from the same word stream.
+/// This is the "internal representation" of the incremental-computation
+/// extension of §9; `absorb` folds in new words and `infer` recomputes the
+/// CHARE at any point. Every component is a set, a multiset, or a count,
+/// so the state is invariant under permutation of the absorbed words.
+/// Ties (topological order, members of a disjunction) are broken by `Sym`
+/// order, which equals first-occurrence order whenever the alphabet was
+/// interned from the same word stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrxState {
     /// 2-gram successor relation `→W`.
@@ -91,20 +89,6 @@ impl CrxState {
     /// Whether any non-empty word was absorbed (the element has children).
     pub fn has_symbols(&self) -> bool {
         !self.syms.is_empty()
-    }
-
-    /// Merges another state in: the result equals absorbing both word
-    /// multisets into one state, in any order. This is the CRX counterpart
-    /// of `Soa::merge` — the summary of §7 is a union of per-word
-    /// contributions, so partial summaries lose nothing.
-    pub fn merge(&mut self, other: &CrxState) {
-        self.edges.extend(other.edges.iter().copied());
-        self.syms.extend(other.syms.iter().copied());
-        for (vector, &mult) in &other.count_vectors {
-            *self.count_vectors.entry(vector.clone()).or_insert(0) += mult;
-        }
-        self.num_words += other.num_words;
-        dtdinfer_obs::count("core.crx.merges", 1);
     }
 
     /// Runs steps 1–4 of Algorithm 3 on the accumulated state.
@@ -249,85 +233,6 @@ impl CrxState {
             .collect();
         dtdinfer_obs::observe("core.crx.factors", factors.len() as u64);
         factors
-    }
-
-    /// Serializes the summary to a line-oriented text format, so the §9
-    /// incremental workflow can persist CRX state between sessions (the
-    /// counterpart of `Soa::to_text` for iDTD).
-    ///
-    /// Records: `words N`, `sym NAME`, `edge NAME NAME`,
-    /// `vec MULTIPLICITY NAME=COUNT …`. (Older files carrying first-seen
-    /// positions after the `sym` name still parse; the extra fields are
-    /// ignored.)
-    pub fn to_text(&self, alphabet: &dtdinfer_regex::alphabet::Alphabet) -> String {
-        let mut out = String::from("#dtdinfer-crx v1\n");
-        out.push_str(&format!("words {}\n", self.num_words));
-        for &s in &self.syms {
-            out.push_str(&format!("sym {}\n", alphabet.name(s)));
-        }
-        for &(a, b) in &self.edges {
-            out.push_str(&format!("edge {} {}\n", alphabet.name(a), alphabet.name(b)));
-        }
-        for (vector, &mult) in &self.count_vectors {
-            out.push_str(&format!("vec {mult}"));
-            for &(s, c) in vector {
-                out.push_str(&format!(" {}={c}", alphabet.name(s)));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the [`CrxState::to_text`] format.
-    pub fn from_text(
-        text: &str,
-        alphabet: &mut dtdinfer_regex::alphabet::Alphabet,
-    ) -> Result<Self, String> {
-        let mut state = CrxState::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let err = |m: &str| format!("line {}: {m}", lineno + 1);
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            match parts.next().expect("non-empty") {
-                "words" => {
-                    state.num_words = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("bad word count"))?;
-                }
-                "sym" => {
-                    let name = parts.next().ok_or_else(|| err("missing name"))?;
-                    // Legacy first-seen fields after the name are ignored.
-                    state.syms.insert(alphabet.intern(name));
-                }
-                "edge" => {
-                    let a = alphabet.intern(parts.next().ok_or_else(|| err("missing name"))?);
-                    let b = alphabet.intern(parts.next().ok_or_else(|| err("missing name"))?);
-                    state.edges.insert((a, b));
-                }
-                "vec" => {
-                    let mult: usize = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("bad multiplicity"))?;
-                    let mut vector = Vec::new();
-                    for entry in parts {
-                        let (name, count) = entry
-                            .split_once('=')
-                            .ok_or_else(|| err("bad count entry"))?;
-                        let c: u32 = count.parse().map_err(|_| err("bad count"))?;
-                        vector.push((alphabet.intern(name), c));
-                    }
-                    vector.sort_unstable();
-                    *state.count_vectors.entry(vector).or_insert(0) += mult;
-                }
-                other => return Err(err(&format!("unknown record {other:?}"))),
-            }
-        }
-        Ok(state)
     }
 
     /// Full CRX result including the degenerate cases.
@@ -646,62 +551,6 @@ mod tests {
         }
         assert_eq!(state.infer(), batch);
         assert_eq!(state.num_words(), 4);
-    }
-
-    #[test]
-    fn text_round_trip_preserves_inference() {
-        let words = ["abccde", "cccad", "bfegg", "bfehi"];
-        let mut al = Alphabet::new();
-        let ws: Vec<Word> = words.iter().map(|w| al.word_from_chars(w)).collect();
-        let mut state = CrxState::new();
-        for w in &ws {
-            state.absorb(w);
-        }
-        let text = state.to_text(&al);
-        let mut al2 = Alphabet::new();
-        let back = CrxState::from_text(&text, &mut al2).unwrap();
-        assert_eq!(back.num_words(), state.num_words());
-        // Inference over the round-tripped state matches (modulo the
-        // alphabet renumbering, names coincide by construction here since
-        // the serialization order interns identically).
-        assert_eq!(back.to_text(&al2), text);
-        assert_eq!(back.infer(), state.infer());
-    }
-
-    #[test]
-    fn text_rejects_garbage() {
-        let mut al = Alphabet::new();
-        assert!(CrxState::from_text("nonsense", &mut al).is_err());
-        assert!(CrxState::from_text("vec x", &mut al).is_err());
-        assert!(CrxState::from_text("sym", &mut al).is_err());
-        assert!(CrxState::from_text("edge a", &mut al).is_err());
-        assert!(CrxState::from_text("#ok\nwords 3\n", &mut al).is_ok());
-        // Legacy files carrying first-seen fields still parse.
-        assert!(CrxState::from_text("sym a 0 2\n", &mut al).is_ok());
-    }
-
-    #[test]
-    fn merge_equals_absorbing_everything() {
-        let words = ["abccde", "cccad", "bfegg", "bfehi", ""];
-        let mut al = Alphabet::new();
-        let ws: Vec<Word> = words.iter().map(|w| al.word_from_chars(w)).collect();
-        let mut whole = CrxState::new();
-        for w in &ws {
-            whole.absorb(w);
-        }
-        for cut in 0..=ws.len() {
-            let mut left = CrxState::new();
-            for w in &ws[..cut] {
-                left.absorb(w);
-            }
-            let mut right = CrxState::new();
-            for w in &ws[cut..] {
-                right.absorb(w);
-            }
-            left.merge(&right);
-            assert_eq!(left, whole, "cut at {cut}");
-            assert_eq!(left.infer(), whole.infer());
-        }
     }
 
     #[test]

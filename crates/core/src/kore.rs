@@ -38,7 +38,7 @@ use crate::idtd::{idtd_traced, Event, IdtdConfig};
 use crate::model::InferredModel;
 use dtdinfer_automata::nfa::Nfa;
 use dtdinfer_automata::soa::Soa;
-use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
+use dtdinfer_regex::alphabet::{Sym, Word};
 use dtdinfer_regex::ast::Regex;
 use dtdinfer_regex::determinism::check_deterministic;
 use dtdinfer_regex::multiset::WordBag;
@@ -302,97 +302,6 @@ impl KoreState {
         dtdinfer_obs::observe("core.kore.k", 1);
         None
     }
-
-    /// Serializes the state to a line-oriented text format (the counterpart
-    /// of `SupportSoa::to_text` for snapshot persistence and
-    /// `dtdinfer learn --state`).
-    ///
-    /// Records: `words N`, `empty`, `initial NAME OCC`, `final NAME OCC`,
-    /// `edge NAME OCC NAME OCC`. States are implied (a marked state always
-    /// appears as an endpoint), so they are not stored.
-    pub fn to_text(&self, alphabet: &Alphabet) -> String {
-        let mut out = String::from("#dtdinfer-kore v1\n");
-        out.push_str(&format!("words {}\n", self.num_words));
-        if self.marked.accepts_empty {
-            out.push_str("empty\n");
-        }
-        for &m in &self.marked.initial {
-            let (s, occ) = unmark_sym(m);
-            out.push_str(&format!("initial {} {occ}\n", alphabet.name(s)));
-        }
-        for &m in &self.marked.finals {
-            let (s, occ) = unmark_sym(m);
-            out.push_str(&format!("final {} {occ}\n", alphabet.name(s)));
-        }
-        for &(a, b) in &self.marked.edges {
-            let (sa, oa) = unmark_sym(a);
-            let (sb, ob) = unmark_sym(b);
-            out.push_str(&format!(
-                "edge {} {oa} {} {ob}\n",
-                alphabet.name(sa),
-                alphabet.name(sb)
-            ));
-        }
-        out
-    }
-
-    /// Parses the [`to_text`](Self::to_text) format, interning names into
-    /// `alphabet`.
-    pub fn from_text(text: &str, alphabet: &mut Alphabet) -> Result<Self, String> {
-        let mut num_words = 0u64;
-        let mut accepts_empty = false;
-        let mut initial = BTreeSet::new();
-        let mut finals = BTreeSet::new();
-        let mut edges = BTreeSet::new();
-        let parse_mark = |alphabet: &mut Alphabet,
-                          name: &str,
-                          occ: &str,
-                          lineno: usize|
-         -> Result<Sym, String> {
-            let occ: usize = occ
-                .parse()
-                .map_err(|_| format!("line {}: bad occurrence index {occ:?}", lineno + 1))?;
-            if !(1..=MAX_K).contains(&occ) {
-                return Err(format!(
-                    "line {}: occurrence index {occ} out of range 1..={MAX_K}",
-                    lineno + 1
-                ));
-            }
-            Ok(mark(alphabet.intern(name), occ))
-        };
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            match fields.as_slice() {
-                ["words", n] => {
-                    num_words = n
-                        .parse()
-                        .map_err(|_| format!("line {}: bad word count {n:?}", lineno + 1))?;
-                }
-                ["empty"] => accepts_empty = true,
-                ["initial", name, occ] => {
-                    initial.insert(parse_mark(alphabet, name, occ, lineno)?);
-                }
-                ["final", name, occ] => {
-                    finals.insert(parse_mark(alphabet, name, occ, lineno)?);
-                }
-                ["edge", a, oa, b, ob] => {
-                    edges.insert((
-                        parse_mark(alphabet, a, oa, lineno)?,
-                        parse_mark(alphabet, b, ob, lineno)?,
-                    ));
-                }
-                _ => return Err(format!("line {}: unrecognized record {line:?}", lineno + 1)),
-            }
-        }
-        Ok(KoreState {
-            marked: Soa::from_parts(initial, finals, edges, accepts_empty),
-            num_words,
-        })
-    }
 }
 
 /// `⌈log2(n)⌉` — the number of bits to pick one of `n` options. `0` when
@@ -640,6 +549,7 @@ pub fn pick_auto(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtdinfer_regex::alphabet::Alphabet;
     use dtdinfer_regex::display::render;
     use proptest::prelude::*;
 
@@ -715,28 +625,6 @@ mod tests {
                 "k-ORE must be deterministic"
             );
         }
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let mut al = Alphabet::new();
-        let state = KoreState::learn_counted(&bag(&mut al, &["aba", "ab", "", "ccc"]));
-        let text = state.to_text(&al);
-        let back = KoreState::from_text(&text, &mut al).expect("parse");
-        assert_eq!(back, state);
-        // Empty state round trip.
-        let empty = KoreState::new();
-        let text = empty.to_text(&al);
-        assert_eq!(KoreState::from_text(&text, &mut al).expect("parse"), empty);
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        let mut al = Alphabet::new();
-        assert!(KoreState::from_text("edge a 0 b 1", &mut al).is_err());
-        assert!(KoreState::from_text("edge a 9 b 1", &mut al).is_err());
-        assert!(KoreState::from_text("bogus record", &mut al).is_err());
-        assert!(KoreState::from_text("words lots", &mut al).is_err());
     }
 
     #[test]

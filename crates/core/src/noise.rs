@@ -137,112 +137,6 @@ impl SupportSoa {
         self.sym_support.iter().map(|(&s, &c)| (s, c)).collect()
     }
 
-    /// Serializes the state to a line-oriented text format (the iDTD-side
-    /// counterpart of `CrxState::to_text` for engine snapshots).
-    ///
-    /// Records: `words N`, `sym NAME COUNT`, `initial NAME COUNT`,
-    /// `final NAME COUNT`, `pair NAME NAME COUNT`, `empty COUNT`. The
-    /// support records fully determine the embedded SOA.
-    pub fn to_text(&self, alphabet: &dtdinfer_regex::alphabet::Alphabet) -> String {
-        let mut out = String::from("#dtdinfer-support-soa v1\n");
-        out.push_str(&format!("words {}\n", self.num_words));
-        for (s, count) in self.symbol_supports() {
-            out.push_str(&format!("sym {} {count}\n", alphabet.name(s)));
-        }
-        // Edge records in a stable order: initial, final, pair, epsilon.
-        let mut edges: Vec<(EdgeKind, u64)> =
-            self.edge_support.iter().map(|(&e, &c)| (e, c)).collect();
-        edges.sort_unstable();
-        for (edge, count) in edges {
-            match edge {
-                EdgeKind::Initial(s) => {
-                    out.push_str(&format!("initial {} {count}\n", alphabet.name(s)));
-                }
-                EdgeKind::Final(s) => {
-                    out.push_str(&format!("final {} {count}\n", alphabet.name(s)));
-                }
-                EdgeKind::Pair(a, b) => {
-                    out.push_str(&format!(
-                        "pair {} {} {count}\n",
-                        alphabet.name(a),
-                        alphabet.name(b)
-                    ));
-                }
-                EdgeKind::Epsilon => out.push_str(&format!("empty {count}\n")),
-            }
-        }
-        out
-    }
-
-    /// Parses the [`SupportSoa::to_text`] format, interning names into
-    /// `alphabet`.
-    pub fn from_text(
-        text: &str,
-        alphabet: &mut dtdinfer_regex::alphabet::Alphabet,
-    ) -> Result<Self, String> {
-        let mut state = SupportSoa::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let err = |m: &str| format!("line {}: {m}", lineno + 1);
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let kind = parts.next().expect("non-empty line");
-            let mut name = |parts: &mut std::str::SplitWhitespace<'_>| {
-                parts
-                    .next()
-                    .map(|n| alphabet.intern(n))
-                    .ok_or_else(|| err("missing name"))
-            };
-            let count = |parts: &mut std::str::SplitWhitespace<'_>| {
-                parts
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| err("bad count"))
-            };
-            match kind {
-                "words" => state.num_words = count(&mut parts)?,
-                "sym" => {
-                    let s = name(&mut parts)?;
-                    let c = count(&mut parts)?;
-                    state.sym_support.insert(s, c);
-                    state.soa.states.insert(s);
-                }
-                "initial" => {
-                    let s = name(&mut parts)?;
-                    let c = count(&mut parts)?;
-                    state.edge_support.insert(EdgeKind::Initial(s), c);
-                    state.soa.initial.insert(s);
-                    state.soa.states.insert(s);
-                }
-                "final" => {
-                    let s = name(&mut parts)?;
-                    let c = count(&mut parts)?;
-                    state.edge_support.insert(EdgeKind::Final(s), c);
-                    state.soa.finals.insert(s);
-                    state.soa.states.insert(s);
-                }
-                "pair" => {
-                    let a = name(&mut parts)?;
-                    let b = name(&mut parts)?;
-                    let c = count(&mut parts)?;
-                    state.edge_support.insert(EdgeKind::Pair(a, b), c);
-                    state.soa.edges.insert((a, b));
-                    state.soa.states.insert(a);
-                    state.soa.states.insert(b);
-                }
-                "empty" => {
-                    let c = count(&mut parts)?;
-                    state.edge_support.insert(EdgeKind::Epsilon, c);
-                    state.soa.accepts_empty = true;
-                }
-                other => return Err(err(&format!("unknown record {other:?}"))),
-            }
-        }
-        Ok(state)
-    }
-
     /// The simple countermeasure: an SOA with every symbol of support
     /// < `threshold` dropped (with its incident edges) and every surviving
     /// edge of support < `threshold` dropped.
@@ -470,42 +364,5 @@ mod tests {
     fn degenerate_empty() {
         let s = SupportSoa::new();
         assert_eq!(s.infer_noise_aware(3), InferredModel::Empty);
-    }
-
-    #[test]
-    fn text_round_trip_preserves_supports() {
-        let mut al = Alphabet::new();
-        let s = SupportSoa::learn(&noisy_corpus(&mut al));
-        let text = s.to_text(&al);
-        // Restore into a fresh alphabet: supports and the SOA must survive,
-        // and re-serializing against the same alphabet is the identity.
-        let mut al2 = Alphabet::new();
-        let restored = SupportSoa::from_text(&text, &mut al2).unwrap();
-        assert_eq!(restored.to_text(&al2), text);
-        let (a, z) = (al2.get("a").unwrap(), al2.get("z").unwrap());
-        assert_eq!(
-            restored.symbol_support(a),
-            s.symbol_support(al.get("a").unwrap())
-        );
-        assert_eq!(
-            restored.symbol_support(z),
-            s.symbol_support(al.get("z").unwrap())
-        );
-        assert_eq!(restored.num_words(), s.num_words());
-        assert_eq!(
-            restored.support(EdgeKind::Epsilon),
-            s.support(EdgeKind::Epsilon)
-        );
-    }
-
-    #[test]
-    fn text_rejects_garbage() {
-        let mut al = Alphabet::new();
-        for bad in ["froz a 1", "sym a", "pair a 1", "words x", "empty"] {
-            assert!(
-                SupportSoa::from_text(bad, &mut al).is_err(),
-                "accepted {bad:?}"
-            );
-        }
     }
 }

@@ -48,9 +48,14 @@
 //! second section for one name, are rejected. Other versions (including
 //! v1) and missing headers are rejected with a descriptive error rather
 //! than misread.
+//!
+//! `dtdinfer learn --state` keeps one word multiset between runs in the
+//! same rows: [`save_words`] writes a [`WORDS_HEADER`] line, one `name`
+//! line per symbol in symbol order, and the `w` rows.
 
 use crate::EngineState;
-use dtdinfer_regex::alphabet::{Sym, Word};
+use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
+use dtdinfer_regex::multiset::WordBag;
 use dtdinfer_xml::extract::ElementFacts;
 use dtdinfer_xml::samples::{SampleBag, DEFAULT_SAMPLE_CAP};
 use std::collections::BTreeMap;
@@ -111,16 +116,40 @@ pub fn save(state: &EngineState) -> String {
         for (attr, values) in &element.attributes {
             write_bag(&mut out, "attr", &format!(" {}", esc(attr)), values);
         }
-        for (word, count) in element.words.iter() {
-            let _ = write!(out, "w {count}");
-            for &s in word {
-                let _ = write!(out, " {}", esc(state.alphabet.name(s)));
-            }
-            out.push('\n');
-        }
+        write_word_rows(&mut out, &state.alphabet, &element.words);
     }
     dtdinfer_obs::observe("engine.snapshot.bytes", out.len() as u64);
     out
+}
+
+/// Writes `bag` as `w count child…` rows, one distinct word per row in the
+/// bag's canonical order, naming each child through `alphabet`.
+fn write_word_rows(out: &mut String, alphabet: &Alphabet, bag: &WordBag) {
+    for (word, count) in bag.iter() {
+        let _ = write!(out, "w {count}");
+        for &s in word {
+            let _ = write!(out, " {}", esc(alphabet.name(s)));
+        }
+        out.push('\n');
+    }
+}
+
+/// Parses what follows the `w` of a multiset row: a non-zero count, then
+/// the children, interned into `alphabet`.
+fn read_word_row(rest: &str, alphabet: &mut Alphabet) -> Result<(Word, u32), String> {
+    let mut fields = rest.split(' ').filter(|f| !f.is_empty());
+    let count: u32 = fields
+        .next()
+        .ok_or("multiset row needs a count")?
+        .parse()
+        .map_err(|e| format!("bad multiset count: {e}"))?;
+    if count == 0 {
+        return Err("zero-count multiset row".into());
+    }
+    let word = fields
+        .map(|child| Ok(alphabet.intern(&unesc(child)?)))
+        .collect::<Result<Word, String>>()?;
+    Ok((word, count))
 }
 
 /// Reservoir parts accumulated while a section is read; assembled into a
@@ -361,22 +390,9 @@ pub fn load(text: &str) -> Result<EngineState, String> {
                             .push_value(value)
                             .map_err(err)?;
                     }
-                    "w" => {
-                        let mut fields = rest.split(' ').filter(|f| !f.is_empty());
-                        let count: u32 = fields
-                            .next()
-                            .ok_or_else(|| err("multiset row needs a count".into()))?
-                            .parse()
-                            .map_err(|e| err(format!("bad multiset count: {e}")))?;
-                        if count == 0 {
-                            return Err(err("zero-count multiset row".into()));
-                        }
-                        let mut word = Word::new();
-                        for child in fields {
-                            word.push(state.alphabet.intern(&unesc(child).map_err(err)?));
-                        }
-                        section.words.push((word, count));
-                    }
+                    "w" => section
+                        .words
+                        .push(read_word_row(rest, &mut state.alphabet).map_err(err)?),
                     // Learner rows of v3/v4 files: functions of the `w` rows,
                     // of which only the absorbed-word count is read.
                     "s" if rest.starts_with("words ") => {
@@ -407,6 +423,82 @@ pub fn load(text: &str) -> Result<EngineState, String> {
     }
     dtdinfer_obs::observe("engine.snapshot.bytes", text.len() as u64);
     Ok(state)
+}
+
+/// The header of a word-state file: the memory `dtdinfer learn --state`
+/// keeps between runs.
+pub const WORDS_HEADER: &str = "#dtdinfer-words v1";
+
+/// Headers of the per-learner state files earlier builds of `learn
+/// --state` wrote: one learner's automaton or summary each, not the words
+/// every learner needs.
+const LEARNER_HEADERS: [&str; 3] = ["#dtdinfer-soa v1", "#dtdinfer-crx v1", "#dtdinfer-kore v1"];
+
+/// Serializes a word multiset with the alphabet it is written over: the
+/// [`WORDS_HEADER`], one `name NAME` line per symbol in symbol order, and
+/// the same `w` rows an element section of [`save`] holds.
+pub fn save_words(alphabet: &Alphabet, bag: &WordBag) -> String {
+    let mut out = format!("{WORDS_HEADER}\n");
+    for (_, name) in alphabet.entries() {
+        let _ = writeln!(out, "name {}", esc(name));
+    }
+    write_word_rows(&mut out, alphabet, bag);
+    out
+}
+
+/// Parses a [`save_words`] file. Its names are interned in their saved
+/// order, so words interned after loading get the symbols one run over
+/// every word would have given them. Rejects per-learner files of earlier
+/// builds, duplicate names and rows, and rows naming a child without a
+/// `name` line.
+pub fn load_words(text: &str) -> Result<(Alphabet, WordBag), String> {
+    match text.lines().next().map(str::trim) {
+        Some(WORDS_HEADER) => {}
+        Some(old) if LEARNER_HEADERS.contains(&old) => {
+            return Err(format!(
+                "line 1: a {old:?} file holds one learner's summary, not the words every \
+                 learner needs; re-learn it from its words with `dtdinfer learn --state`"
+            ));
+        }
+        _ => {
+            return Err(format!(
+                "line 1: not a dtdinfer word state (expected a {WORDS_HEADER:?} first line)"
+            ));
+        }
+    }
+    let mut alphabet = Alphabet::new();
+    let mut bag = WordBag::new();
+    for (lineno, line) in text.lines().enumerate().skip(1) {
+        let err = |m: String| format!("line {}: {m}", lineno + 1);
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
+        match kind {
+            "name" => {
+                let name = unesc(rest).map_err(err)?;
+                if alphabet.get(&name).is_some() {
+                    return Err(err(format!("duplicate name {name:?}")));
+                }
+                alphabet.intern(&name);
+            }
+            "w" => {
+                let names = alphabet.len();
+                let (word, count) = read_word_row(rest, &mut alphabet).map_err(err)?;
+                if alphabet.len() != names {
+                    return Err(err("a child has no \"name\" line".into()));
+                }
+                let distinct = bag.distinct();
+                bag.insert_n(word, count);
+                if bag.distinct() == distinct {
+                    return Err(err("duplicate multiset row".into()));
+                }
+            }
+            other => return Err(err(format!("unknown record {other:?}"))),
+        }
+    }
+    Ok((alphabet, bag))
 }
 
 /// Escapes a value into a single whitespace-free token.
@@ -814,6 +906,64 @@ mod tests {
         assert!(bag.overflowed());
         assert_eq!(bag.distinct_retained(), cap);
         assert_eq!(bag.total(), (cap * 3) as u64);
+    }
+
+    #[test]
+    fn word_states_round_trip_names_in_symbol_order() {
+        // Unsorted names, two of which need escaping, and one in no word.
+        let alphabet = Alphabet::from_names(["e", "a c", "100%", "b"]);
+        let s = |n: &str| alphabet.get(n).unwrap();
+        let bag: WordBag = [
+            vec![s("e"), s("a c")],
+            vec![s("e"), s("100%")],
+            vec![],
+            vec![s("e"), s("a c")],
+        ]
+        .into_iter()
+        .collect();
+        let text = save_words(&alphabet, &bag);
+        let (loaded, loaded_bag) = load_words(&text).unwrap();
+        assert_eq!(loaded, alphabet, "names keep their symbols");
+        assert_eq!(loaded_bag, bag);
+        assert_eq!(save_words(&loaded, &loaded_bag), text);
+    }
+
+    #[test]
+    fn word_states_reject_learner_files_and_corrupt_rows() {
+        for (bad, needle) in [
+            (
+                "#dtdinfer-crx v1\nwords 1\n".to_owned(),
+                "line 1: a \"#dtdinfer-crx v1\"",
+            ),
+            (
+                "#dtdinfer-kore v1\n".to_owned(),
+                "re-learn it from its words",
+            ),
+            (HEADER.to_owned(), "not a dtdinfer word state"),
+            (
+                format!("{WORDS_HEADER}\nname a\nw 0 a\n"),
+                "line 3: zero-count",
+            ),
+            (
+                format!("{WORDS_HEADER}\nname a\nw 1 b\n"),
+                "line 3: a child has no",
+            ),
+            (
+                format!("{WORDS_HEADER}\nname a\nname a\n"),
+                "line 3: duplicate name",
+            ),
+            (
+                format!("{WORDS_HEADER}\nname a\nw 1 a\nw 2 a\n"),
+                "line 4: duplicate multiset",
+            ),
+            (
+                format!("{WORDS_HEADER}\nelement a\n"),
+                "line 2: unknown record",
+            ),
+        ] {
+            let err = load_words(&bad).unwrap_err();
+            assert!(err.contains(needle), "{bad:?} → {err}");
+        }
     }
 
     #[test]

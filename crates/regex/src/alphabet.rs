@@ -105,6 +105,21 @@ impl Alphabet {
             .map(|(i, n)| (Sym(i as u32), n.as_str()))
     }
 
+    /// The same names interned in sorted order, and the table mapping each
+    /// symbol of `self` (by index) to its symbol there. Every learner breaks
+    /// ties in symbol order, so learning over the sorted alphabet makes
+    /// name order, not interning order, decide them.
+    pub fn sorted(&self) -> (Alphabet, Vec<Sym>) {
+        let mut order: Vec<Sym> = self.symbols().collect();
+        order.sort_unstable_by_key(|&s| self.name(s));
+        let sorted = Alphabet::from_names(order.iter().map(|&s| self.name(s)));
+        let mut table = vec![Sym(0); order.len()];
+        for (new, old) in sorted.symbols().zip(order) {
+            table[old.index()] = new;
+        }
+        (sorted, table)
+    }
+
     /// Interns every character of `s` as a single-character name, producing a
     /// word. Convenient for tests that use the paper's one-letter examples
     /// (e.g. `"bacacdacde"`).
@@ -179,5 +194,18 @@ mod tests {
             .map(|(s, n)| (s.index(), n.to_owned()))
             .collect();
         assert_eq!(v, vec![(0, "x".to_owned()), (1, "y".to_owned())]);
+    }
+
+    #[test]
+    fn sorted_maps_each_symbol_to_its_name() {
+        let a = Alphabet::from_names(["title", "author", "year", "book"]);
+        let (sorted, table) = a.sorted();
+        let names: Vec<&str> = sorted.entries().map(|(_, n)| n).collect();
+        assert_eq!(names, ["author", "book", "title", "year"]);
+        for (old, name) in a.entries() {
+            assert_eq!(sorted.name(table[old.index()]), name);
+        }
+        let (empty, table) = Alphabet::new().sorted();
+        assert!(empty.is_empty() && table.is_empty());
     }
 }

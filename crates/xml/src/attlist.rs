@@ -83,36 +83,19 @@ impl AttDef {
     }
 }
 
-/// Tuning for attribute inference.
-#[derive(Debug, Clone, Copy)]
-pub struct AttInferenceOptions {
-    /// Maximum number of distinct values for an enumeration; beyond it the
-    /// type generalizes to NMTOKEN/CDATA.
-    pub max_enumeration: usize,
-    /// Minimum number of observations per distinct value before an
-    /// enumeration is trusted (guards against enumerating IDs).
-    pub min_support_per_value: usize,
-}
+/// Maximum number of distinct values for an enumeration; beyond it the
+/// type generalizes to NMTOKEN/CDATA.
+pub const MAX_ENUMERATION: usize = 8;
 
-impl Default for AttInferenceOptions {
-    fn default() -> Self {
-        Self {
-            max_enumeration: 8,
-            min_support_per_value: 2,
-        }
-    }
-}
+/// Minimum number of observations per distinct value before an
+/// enumeration is trusted (guards against enumerating IDs).
+pub const MIN_SUPPORT_PER_VALUE: usize = 2;
 
 /// Infers one attribute definition from observed values.
 ///
 /// `values` holds one entry per element occurrence where the attribute was
 /// present; `occurrences` is the total number of element occurrences.
-pub fn infer_attdef(
-    name: &str,
-    values: &[String],
-    occurrences: u64,
-    options: AttInferenceOptions,
-) -> AttDef {
+pub fn infer_attdef(name: &str, values: &[String], occurrences: u64) -> AttDef {
     let default = if values.len() as u64 == occurrences && occurrences > 0 {
         AttDefault::Required
     } else {
@@ -129,8 +112,8 @@ pub fn infer_attdef(
         AttType::Id
     } else if all_nmtoken
         && !values.is_empty()
-        && distinct.len() <= options.max_enumeration
-        && values.len() >= distinct.len() * options.min_support_per_value
+        && distinct.len() <= MAX_ENUMERATION
+        && values.len() >= distinct.len() * MIN_SUPPORT_PER_VALUE
     {
         AttType::Enumeration(distinct.into_iter().cloned().collect())
     } else if all_nmtoken && !values.is_empty() {
@@ -151,19 +134,14 @@ pub fn infer_attdef(
 /// decisions of the slice-based path: totals and per-value counts are
 /// exact, and the NMTOKEN check rides the bag's exact viability mask.
 /// When it has overflowed (more distinct values than the cap, which must
-/// be ≥ `max_enumeration`):
+/// be ≥ [`MAX_ENUMERATION`]):
 ///
 /// * enumeration is correctly ruled out — distinct > cap ≥ the maximum
 ///   enumeration size, so the slice path would reject it too;
 /// * the ID heuristic's all-distinct test becomes evidence from a uniform
 ///   sample of the distinct values (retained counts all 1) instead of a
 ///   full scan — the only decision that is sampled rather than exact.
-pub fn infer_attdef_from_bag(
-    name: &str,
-    values: &SampleBag,
-    occurrences: u64,
-    options: AttInferenceOptions,
-) -> AttDef {
+pub fn infer_attdef_from_bag(name: &str, values: &SampleBag, occurrences: u64) -> AttDef {
     let default = if values.total() == occurrences && occurrences > 0 {
         AttDefault::Required
     } else {
@@ -179,8 +157,8 @@ pub fn infer_attdef_from_bag(
     } else if all_nmtoken
         && !values.is_empty()
         && !values.overflowed()
-        && values.distinct_retained() <= options.max_enumeration
-        && values.total() >= (values.distinct_retained() * options.min_support_per_value) as u64
+        && values.distinct_retained() <= MAX_ENUMERATION
+        && values.total() >= (values.distinct_retained() * MIN_SUPPORT_PER_VALUE) as u64
     {
         AttType::Enumeration(values.entries().map(|(v, _)| v.to_owned()).collect())
     } else if all_nmtoken && !values.is_empty() {
@@ -205,16 +183,16 @@ mod tests {
 
     #[test]
     fn required_vs_implied() {
-        let always = infer_attdef("x", &strings(&["a", "b"]), 2, Default::default());
+        let always = infer_attdef("x", &strings(&["a", "b"]), 2);
         assert_eq!(always.default, AttDefault::Required);
-        let sometimes = infer_attdef("x", &strings(&["a"]), 2, Default::default());
+        let sometimes = infer_attdef("x", &strings(&["a"]), 2);
         assert_eq!(sometimes.default, AttDefault::Implied);
     }
 
     #[test]
     fn enumeration_for_closed_sets() {
         let values = strings(&["red", "blue", "red", "red", "blue", "blue"]);
-        let def = infer_attdef("color", &values, 6, Default::default());
+        let def = infer_attdef("color", &values, 6);
         assert_eq!(def.ty, AttType::Enumeration(strings(&["blue", "red"])));
         assert!(def.accepts("red"));
         assert!(!def.accepts("green"));
@@ -223,14 +201,14 @@ mod tests {
     #[test]
     fn id_like_detection() {
         let values = strings(&["n1", "n2", "n3", "n4"]);
-        let def = infer_attdef("id", &values, 4, Default::default());
+        let def = infer_attdef("id", &values, 4);
         assert_eq!(def.ty, AttType::Id);
     }
 
     #[test]
     fn nmtoken_fallback_for_wide_value_sets() {
         let values: Vec<String> = (0..40).map(|i| format!("v{}", i % 20)).collect();
-        let def = infer_attdef("v", &values, 41, Default::default());
+        let def = infer_attdef("v", &values, 41);
         assert_eq!(def.ty, AttType::NmToken);
         assert_eq!(def.default, AttDefault::Implied);
     }
@@ -238,7 +216,7 @@ mod tests {
     #[test]
     fn cdata_for_free_text() {
         let values = strings(&["hello world", "two words"]);
-        let def = infer_attdef("title", &values, 2, Default::default());
+        let def = infer_attdef("title", &values, 2);
         assert_eq!(def.ty, AttType::CData);
         assert!(def.accepts("anything at all"));
     }
@@ -255,11 +233,11 @@ mod tests {
 
     #[test]
     fn empty_observations() {
-        let def = infer_attdef("x", &[], 5, Default::default());
+        let def = infer_attdef("x", &[], 5);
         assert_eq!(def.default, AttDefault::Implied);
         assert_eq!(def.ty, AttType::CData);
         let bag = SampleBag::default();
-        assert_eq!(infer_attdef_from_bag("x", &bag, 5, Default::default()), def);
+        assert_eq!(infer_attdef_from_bag("x", &bag, 5), def);
     }
 
     #[test]
@@ -279,8 +257,8 @@ mod tests {
             }
             assert!(!bag.overflowed());
             assert_eq!(
-                infer_attdef_from_bag("a", &bag, occurrences, Default::default()),
-                infer_attdef("a", &values, occurrences, Default::default()),
+                infer_attdef_from_bag("a", &bag, occurrences),
+                infer_attdef("a", &values, occurrences),
                 "{values:?}"
             );
         }
@@ -289,14 +267,14 @@ mod tests {
     #[test]
     fn overflowed_bag_never_enumerates() {
         // More distinct NMTOKEN values than the cap: enumeration is
-        // impossible (distinct > cap ≥ max_enumeration), NMTOKEN stands.
+        // impossible (distinct > cap ≥ MAX_ENUMERATION), NMTOKEN stands.
         let mut bag = SampleBag::default();
         for i in 0..(bag.cap() * 4) {
             bag.insert(&format!("v{i}"));
             bag.insert(&format!("v{i}")); // duplicate: defeats the ID heuristic
         }
         assert!(bag.overflowed());
-        let def = infer_attdef_from_bag("v", &bag, bag.total(), Default::default());
+        let def = infer_attdef_from_bag("v", &bag, bag.total());
         assert_eq!(def.ty, AttType::NmToken);
     }
 }

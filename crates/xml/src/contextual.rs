@@ -143,14 +143,8 @@ impl ContextualSchema {
 /// name-sorted first and contexts are visited in name order, so the
 /// schema does not depend on document order.
 pub fn infer_contextual(corpus: &ContextualCorpus, engine: InferenceEngine) -> ContextualSchema {
-    let mut names: Vec<&str> = corpus.alphabet.entries().map(|(_, n)| n).collect();
-    names.sort_unstable();
-    let alphabet = Alphabet::from_names(&names);
-    let map = |s: Sym| {
-        alphabet
-            .get(corpus.alphabet.name(s))
-            .expect("same name set")
-    };
+    let (alphabet, table) = corpus.alphabet.sorted();
+    let map = |s: Sym| table[s.index()];
     let contexts: BTreeMap<(Option<Sym>, Sym), &WordBag> = corpus
         .contexts
         .iter()

@@ -276,18 +276,19 @@ impl Corpus {
     /// workspace breaks ties in symbol order, so inference over the
     /// canonical corpus is independent of document arrival order.
     pub fn canonicalized(&self) -> Corpus {
-        let mut names: Vec<&str> = self.alphabet.entries().map(|(_, n)| n).collect();
-        if names.windows(2).all(|w| w[0] < w[1]) {
+        let (alphabet, table) = self.alphabet.sorted();
+        if table.iter().enumerate().all(|(i, s)| s.index() == i) {
             return self.clone();
         }
-        names.sort_unstable();
-        let alphabet = Alphabet::from_names(&names);
-        let map = |s: Sym| alphabet.get(self.alphabet.name(s)).expect("same name set");
+        let map = |s: Sym| table[s.index()];
         let mut elements = ElementTable::default();
         for (sym, facts) in self.elements.iter() {
-            let canonical = elements.entry(map(sym));
-            *canonical = facts.clone();
-            canonical.words = facts.words.map_symbols(map);
+            *elements.entry(map(sym)) = ElementFacts {
+                words: facts.words.map_symbols(map),
+                text_samples: facts.text_samples.clone(),
+                attributes: facts.attributes.clone(),
+                occurrences: facts.occurrences,
+            };
         }
         let roots = self.roots.iter().map(|(&s, &c)| (map(s), c)).collect();
         Corpus {

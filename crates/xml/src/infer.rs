@@ -5,7 +5,7 @@
 //! §1.2's two scenarios) learns one expression per element, and text/child
 //! mixtures are mapped onto the DTD content-spec forms.
 
-use crate::attlist::{infer_attdef_from_bag, AttDef, AttInferenceOptions};
+use crate::attlist::{infer_attdef_from_bag, AttDef};
 use crate::dtd::{ContentSpec, Dtd};
 use crate::extract::{Corpus, ElementFacts};
 use dtdinfer_automata::soa::Soa;
@@ -204,13 +204,8 @@ impl Derivation {
     /// Re-interns the corpus's names in sorted order and drops every
     /// cached element, whose symbols and models are all stale.
     fn rebuild_alphabet(&mut self, alphabet: &Alphabet) {
-        let mut names: Vec<&str> = alphabet.entries().map(|(_, n)| n).collect();
-        names.sort_unstable();
-        let canonical = Alphabet::from_names(&names);
-        self.canonical = alphabet
-            .entries()
-            .map(|(_, n)| canonical.get(n).expect("same name set"))
-            .collect();
+        let (canonical, table) = alphabet.sorted();
+        self.canonical = table;
         self.identity = self
             .canonical
             .iter()
@@ -248,14 +243,86 @@ pub fn spec_size(spec: &ContentSpec) -> usize {
     }
 }
 
+/// What [`learn_model`] learned from one child-word multiset.
+#[derive(Debug, Clone)]
+pub struct LearnedModel {
+    /// The content model.
+    pub model: InferredModel,
+    /// The learner that produced it: `crx`, `idtd`, `idtd-noise`, `kore`,
+    /// or `auto`'s verdict (`auto-sore`, `auto-kore`, `auto-chare`).
+    pub engine: &'static str,
+    /// Rewrite-rule applications in the iDTD derivation (0 for CRX).
+    pub rewrite_steps: usize,
+    /// Repair-rule invocations in the iDTD derivation (0 for CRX).
+    pub repairs: usize,
+    /// Merge-everything fallback firings (0 unless iDTD got stuck).
+    pub fallbacks: usize,
+}
+
+impl LearnedModel {
+    fn new(model: InferredModel, engine: &'static str, events: &[Event]) -> Self {
+        let mut learned = LearnedModel {
+            model,
+            engine,
+            rewrite_steps: 0,
+            repairs: 0,
+            fallbacks: 0,
+        };
+        for e in events {
+            match e {
+                Event::Rewrite(_) => learned.rewrite_steps += 1,
+                Event::Repair { .. } => learned.repairs += 1,
+                Event::Fallback => learned.fallbacks += 1,
+            }
+        }
+        learned
+    }
+}
+
+/// Learns a content model from a counted child-word multiset: the one
+/// path from words to a model, shared by [`infer_element`] and
+/// `dtdinfer learn`. Every learner is built here from the distinct words
+/// and consumes each once: the SOA is a set union (count-invariant), CRX
+/// and the support counters take the multiplicity as a weight. Ties break
+/// in symbol order, and `auto`'s model cost reads `alphabet_len`.
+pub fn learn_model(words: &WordBag, alphabet_len: usize, engine: InferenceEngine) -> LearnedModel {
+    match engine {
+        InferenceEngine::Crx => LearnedModel::new(crx_counted(words.iter()), "crx", &[]),
+        InferenceEngine::Idtd => {
+            let soa = Soa::learn(words.words());
+            let (model, trace) = idtd_traced(&soa, IdtdConfig::default());
+            LearnedModel::new(model, "idtd", &trace)
+        }
+        InferenceEngine::IdtdNoise { threshold } => LearnedModel::new(
+            SupportSoa::learn_counted(words.iter()).infer_denoised(threshold),
+            "idtd-noise",
+            &[],
+        ),
+        InferenceEngine::Kore => {
+            let outcome = KoreState::learn_counted(words).derive();
+            LearnedModel::new(outcome.model, "kore", &outcome.events)
+        }
+        InferenceEngine::Auto => {
+            let soa = Soa::learn(words.words());
+            let sore = idtd_traced(&soa, IdtdConfig::default());
+            // The k-ORE descent stops at k = 2: `pick_auto` reads the
+            // k = 1 candidate off `sore`.
+            let kore = KoreState::learn_counted(words).derive_repeated();
+            let chare = crx_counted(words.iter());
+            let pick = pick_auto(sore, kore, chare, alphabet_len, words);
+            LearnedModel::new(pick.model, pick.engine, &pick.events)
+        }
+    }
+}
+
 /// Learns one element's content model and attribute list: the
 /// per-element step of [`Derivation::update`]. `words` is the element's
 /// child-word multiset written over `alphabet`, which callers make the
 /// canonical (name-sorted) one so ties break by name; `facts` supplies
 /// the text and attribute reservoirs and the occurrence count (its own
-/// `words` are not read). Every learner is built here from the distinct
-/// words, so no learner state outlives the call. The report's duration
-/// covers the content model only.
+/// `words` are not read). Element children are learned by
+/// [`learn_model`], so no learner state outlives the call. The report's
+/// duration covers the content model only.
 pub fn infer_element(
     alphabet: &Alphabet,
     sym: Sym,
@@ -264,13 +331,7 @@ pub fn infer_element(
     engine: InferenceEngine,
 ) -> (ContentSpec, Vec<AttDef>, ElementReport) {
     let started = Instant::now();
-    let mut engine_used = match engine {
-        InferenceEngine::Crx => "crx",
-        InferenceEngine::Idtd => "idtd",
-        InferenceEngine::IdtdNoise { .. } => "idtd-noise",
-        InferenceEngine::Kore => "kore",
-        InferenceEngine::Auto => "auto",
-    };
+    let mut engine_used = "empty";
     let (mut rewrite_steps, mut repairs, mut fallbacks) = (0usize, 0usize, 0usize);
     let has_text = facts.has_text();
     let has_children = words.words().any(|w| !w.is_empty());
@@ -278,10 +339,7 @@ pub fn infer_element(
         // Never any content observed: EMPTY is the tight choice (the
         // specialization-over-generalization default of §1.2's rich-data
         // scenario; a later document with text would flip this to PCDATA).
-        (false, false) => {
-            engine_used = "empty";
-            ContentSpec::Empty
-        }
+        (false, false) => ContentSpec::Empty,
         (true, false) => {
             engine_used = "pcdata";
             ContentSpec::PcData
@@ -310,57 +368,11 @@ pub fn infer_element(
             ContentSpec::Mixed(syms.into_iter().collect())
         }
         (false, true) => {
-            // Every learner consumes each distinct word once: the SOA is a
-            // set union (count-invariant), CRX and the support counters
-            // take the multiplicity as a weight.
-            let model = match engine {
-                InferenceEngine::Crx => crx_counted(words.iter()),
-                InferenceEngine::Idtd => {
-                    let soa = Soa::learn(words.words());
-                    let (model, trace) = idtd_traced(&soa, IdtdConfig::default());
-                    for e in &trace {
-                        match e {
-                            Event::Rewrite(_) => rewrite_steps += 1,
-                            Event::Repair { .. } => repairs += 1,
-                            Event::Fallback => fallbacks += 1,
-                        }
-                    }
-                    model
-                }
-                InferenceEngine::IdtdNoise { threshold } => {
-                    SupportSoa::learn_counted(words.iter()).infer_denoised(threshold)
-                }
-                InferenceEngine::Kore => {
-                    let outcome = KoreState::learn_counted(words).derive();
-                    for e in &outcome.events {
-                        match e {
-                            Event::Rewrite(_) => rewrite_steps += 1,
-                            Event::Repair { .. } => repairs += 1,
-                            Event::Fallback => fallbacks += 1,
-                        }
-                    }
-                    outcome.model
-                }
-                InferenceEngine::Auto => {
-                    let soa = Soa::learn(words.words());
-                    let sore = idtd_traced(&soa, IdtdConfig::default());
-                    // The k-ORE descent stops at k = 2: `pick_auto`
-                    // reads the k = 1 candidate off `sore`.
-                    let kore = KoreState::learn_counted(words).derive_repeated();
-                    let chare = crx_counted(words.iter());
-                    let pick = pick_auto(sore, kore, chare, alphabet.len(), words);
-                    engine_used = pick.engine;
-                    for e in &pick.events {
-                        match e {
-                            Event::Rewrite(_) => rewrite_steps += 1,
-                            Event::Repair { .. } => repairs += 1,
-                            Event::Fallback => fallbacks += 1,
-                        }
-                    }
-                    pick.model
-                }
-            };
-            match model {
+            let learned = learn_model(words, alphabet.len(), engine);
+            engine_used = learned.engine;
+            (rewrite_steps, repairs, fallbacks) =
+                (learned.rewrite_steps, learned.repairs, learned.fallbacks);
+            match learned.model {
                 InferredModel::Regex(r) => ContentSpec::Children(r),
                 InferredModel::EpsilonOnly | InferredModel::Empty => ContentSpec::Empty,
             }
@@ -380,14 +392,7 @@ pub fn infer_element(
     let attlist = facts
         .attributes
         .iter()
-        .map(|(attr, values)| {
-            infer_attdef_from_bag(
-                attr,
-                values,
-                facts.occurrences,
-                AttInferenceOptions::default(),
-            )
-        })
+        .map(|(attr, values)| infer_attdef_from_bag(attr, values, facts.occurrences))
         .collect();
     (spec, attlist, report)
 }

@@ -44,9 +44,9 @@
 
 use crate::datatype::{classify, most_specific, XsdType, ALL_VIABLE};
 
-/// Default cap on distinct retained values. Must stay ≥ the attribute
-/// inference `max_enumeration` so that an overflowed bag can never have
-/// been enumeration-eligible (see [`crate::attlist`]).
+/// Default cap on distinct retained values. Must stay ≥
+/// [`crate::attlist::MAX_ENUMERATION`] so that an overflowed bag can never
+/// have been enumeration-eligible.
 pub const DEFAULT_SAMPLE_CAP: usize = 64;
 
 /// What [`SampleBag::insert`] did with a value. The parse loop tallies

@@ -3,18 +3,38 @@
 //! When XML arrives as answers to queries or web-service calls, only a few
 //! strings are available at first and the schema must be updated as more
 //! arrive — without re-reading old data. This example simulates a stream
-//! of `result` elements, maintains CRX and iDTD incrementally, and prints
-//! the schema evolution.
+//! of `result` documents and keeps the schema current the way
+//! `dtdinfer serve` does: one `Corpus`, whose per-element memory is the
+//! counted child-word multiset, and one `Derivation` per engine, updated
+//! after each batch so that only the elements the batch touched are
+//! re-learned.
 //!
 //! ```sh
 //! cargo run --example web_service_stream
 //! ```
 
-use dtdinfer::core::incremental::{IncrementalChare, IncrementalSore};
 use dtdinfer::regex::alphabet::{Alphabet, Word};
+use dtdinfer::regex::display::render;
 use dtdinfer::regex::sample::{sample_word, SampleConfig};
+use dtdinfer::xml::infer::Derivation;
+use dtdinfer::xml::{ContentSpec, Corpus, Dtd, InferenceEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One response: a `result` element whose children spell `word`.
+fn response(al: &Alphabet, word: &Word) -> String {
+    let children: String = word.iter().map(|&s| format!("<{}/>", al.name(s))).collect();
+    format!("<result>{children}</result>")
+}
+
+/// The content model the schema gives `result`.
+fn result_model(dtd: &Dtd) -> String {
+    let result = dtd.alphabet.get("result").expect("streamed");
+    match &dtd.elements[&result] {
+        ContentSpec::Children(r) => render(r, &dtd.alphabet),
+        other => format!("{other:?}"),
+    }
+}
 
 fn main() {
     let mut al = Alphabet::new();
@@ -26,46 +46,51 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let cfg = SampleConfig::default();
 
-    let mut chare = IncrementalChare::new();
-    let mut sore = IncrementalSore::new();
+    let mut corpus = Corpus::new();
+    let mut crx = Derivation::new(InferenceEngine::Crx);
+    let mut idtd = Derivation::new(InferenceEngine::Idtd);
+    let mut streamed = Vec::new();
 
-    println!("streaming responses; schema after each batch:\n");
-    let mut last_crx = String::new();
+    println!("streaming responses; schema after each batch that changed it:\n");
+    let mut last = (String::new(), String::new());
     for batch in 1..=12 {
         // Each web-service call yields a handful of responses.
-        let words: Vec<Word> = (0..4)
-            .map(|_| sample_word(&truth, &cfg, &mut rng))
-            .collect();
-        for w in &words {
-            chare.absorb(w);
-            sore.absorb(w);
+        for _ in 0..4 {
+            let doc = response(&al, &sample_word(&truth, &cfg, &mut rng));
+            corpus.add_document(&doc).expect("well-formed response");
+            streamed.push(doc);
         }
-        let crx_now = chare.infer().render(&al);
-        let sore_now = sore.infer().render(&al);
-        if crx_now != last_crx {
+        crx.update(&corpus);
+        idtd.update(&corpus);
+        let now = (result_model(crx.dtd()), result_model(idtd.dtd()));
+        if now != last {
             println!("after {:>2} responses:", batch * 4);
-            println!("  crx : {crx_now}");
-            println!("  idtd: {sore_now}");
-            last_crx = crx_now;
+            println!("  crx : {}", now.0);
+            println!("  idtd: {}", now.1);
+            last = now;
         }
     }
 
-    // Every absorbed response is covered by both final schemas.
-    let crx_final = chare.infer();
-    let sore_final = sore.infer();
-    let mut rng2 = StdRng::seed_from_u64(7);
-    for _ in 0..48 {
-        let w = sample_word(&truth, &cfg, &mut rng2);
-        assert!(crx_final.matches(&w));
-        assert!(sore_final.matches(&w));
+    // Every streamed response is valid against both final schemas.
+    for doc in &streamed {
+        for derivation in [&crx, &idtd] {
+            assert_eq!(
+                derivation.dtd().validate(doc).unwrap(),
+                Vec::<String>::new()
+            );
+        }
     }
-    println!("\nall 48 streamed responses satisfy both final schemas ✓");
-
-    // The internal state is small: the SOA is quadratic in the number of
-    // element names, regardless of how many strings streamed by (§9).
     println!(
-        "internal SOA: {} states, {} edges (independent of stream length)",
-        sore.soa().num_states(),
-        sore.soa().num_edges()
+        "\nall {} streamed responses satisfy both final schemas ✓",
+        streamed.len()
+    );
+
+    // The memory is the counted multiset of child sequences (§9): repeated
+    // response shapes cost a count, not another copy.
+    let words = corpus.sequences_of("result").expect("streamed");
+    println!(
+        "memory: {} distinct child sequences for {} responses",
+        words.distinct(),
+        words.total()
     );
 }

@@ -147,46 +147,6 @@ proptest! {
         prop_assert_eq!(regex_equiv(&a, &b), regex_equiv(&b, &a));
     }
 
-    /// `Soa::merge` round trip: splitting a sample arbitrarily, learning
-    /// each part separately, and merging the automata is the identity on
-    /// the inferred language (merge ∘ split == learn of the whole sample).
-    #[test]
-    fn soa_merge_split_round_trip(
-        words in prop::collection::vec(arb_word(4), 0..12),
-        cut in 0usize..12,
-        probe in prop::collection::vec(arb_word(4), 0..8),
-    ) {
-        let cut = cut.min(words.len());
-        let whole = Soa::learn(&words);
-        let mut merged = Soa::learn(&words[..cut]);
-        merged.merge(&Soa::learn(&words[cut..]));
-        // Structural identity (an SOA uniquely determines its 2-testable
-        // language, so this is language identity too)…
-        prop_assert_eq!(&merged, &whole);
-        // …and observable identity on sample + random probe words.
-        for w in words.iter().chain(&probe) {
-            prop_assert_eq!(merged.accepts(w), whole.accepts(w));
-        }
-    }
-
-    /// Merging shard automata is order-insensitive: any permutation of the
-    /// shards yields the same automaton.
-    #[test]
-    fn soa_merge_commutes(
-        a in prop::collection::vec(arb_word(3), 0..8),
-        b in prop::collection::vec(arb_word(3), 0..8),
-        c in prop::collection::vec(arb_word(3), 0..8),
-    ) {
-        let (sa, sb, sc) = (Soa::learn(&a), Soa::learn(&b), Soa::learn(&c));
-        let mut abc = sa.clone();
-        abc.merge(&sb);
-        abc.merge(&sc);
-        let mut cba = sc;
-        cba.merge(&sb);
-        cba.merge(&sa);
-        prop_assert_eq!(abc, cba);
-    }
-
     /// Sampled words of an expression are accepted by its DFA.
     #[test]
     fn dfa_accepts_samples(r in arb_regex(3), seed in 0u64..500) {

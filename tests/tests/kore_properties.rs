@@ -8,15 +8,15 @@
 //! model.
 
 use dtdinfer_automata::ktestable::KTestable;
-use dtdinfer_core::crx::CrxState;
-use dtdinfer_core::kore::KoreState;
-use dtdinfer_core::noise::SupportSoa;
+use dtdinfer_core::kore::{KoreState, MAX_K};
+use dtdinfer_core::noise::{EdgeKind, SupportSoa};
 use dtdinfer_engine::pool::ingest;
 use dtdinfer_engine::{snapshot, EngineState};
-use dtdinfer_regex::alphabet::{Sym, Word};
+use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
 use dtdinfer_regex::multiset::WordBag;
 use dtdinfer_xml::infer::InferenceEngine;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Strategy: a multiset of words over `n_syms` symbols, with repetition
 /// within words (the territory where k-ORE differs from SORE).
@@ -48,30 +48,10 @@ fn docs_of(words: &[Word]) -> Vec<String> {
 fn legacy_save(state: &EngineState, header: &str) -> String {
     let canon = state.canonicalized();
     let with_kore = header == snapshot::V4_HEADER;
-    let mut learner_rows = canon.elements.values().map(|facts| {
-        let mut crx = CrxState::new();
-        for (w, n) in facts.words.iter() {
-            crx.absorb_counted(w, n);
-        }
-        let kore = KoreState::learn_counted(&facts.words);
-        let mut rows = vec![
-            (
-                "s",
-                SupportSoa::learn_counted(facts.words.iter()).to_text(&canon.alphabet),
-            ),
-            ("c", crx.to_text(&canon.alphabet)),
-        ];
-        if with_kore && !kore.is_empty() {
-            rows.push(("k", kore.to_text(&canon.alphabet)));
-        }
-        let mut out = String::new();
-        for (tag, text) in rows {
-            for line in text.lines().filter(|l| !l.starts_with('#')) {
-                out.push_str(&format!("{tag} {line}\n"));
-            }
-        }
-        out
-    });
+    let mut learner_rows = canon
+        .elements
+        .values()
+        .map(|facts| learner_rows(&facts.words, &canon.alphabet, with_kore));
     // Sections appear in canonical element order, as `canon.elements`.
     let mut out = String::new();
     let mut pending = String::new();
@@ -88,6 +68,103 @@ fn legacy_save(state: &EngineState, header: &str) -> String {
         out.push('\n');
     }
     out.push_str(&pending);
+    out
+}
+
+/// The learner rows the v3/v4 writers derived from one element's word
+/// multiset, in their record formats: `s` the supports of the SOA's
+/// symbols and edges, `c` CRX's successor pairs and per-word symbol
+/// counts, and (`with_kore`, for a non-empty bag) `k` the SOA over words
+/// whose i-th `a` is marked `a i` (capped at `MAX_K`).
+fn learner_rows(bag: &WordBag, al: &Alphabet, with_kore: bool) -> String {
+    let name = |s: Sym| al.name(s);
+    let mut out = format!("s words {}\n", bag.total());
+    let support = SupportSoa::learn_counted(bag.iter());
+    for (s, count) in support.symbol_supports() {
+        out += &format!("s sym {} {count}\n", name(s));
+    }
+    let soa = support.soa();
+    let edges = (soa.initial.iter().map(|&s| EdgeKind::Initial(s)))
+        .chain(soa.edges.iter().map(|&(a, b)| EdgeKind::Pair(a, b)))
+        .chain(soa.finals.iter().map(|&s| EdgeKind::Final(s)))
+        .chain(soa.accepts_empty.then_some(EdgeKind::Epsilon));
+    for edge in edges {
+        let count = support.support(edge);
+        out += &match edge {
+            EdgeKind::Initial(s) => format!("s initial {} {count}\n", name(s)),
+            EdgeKind::Pair(a, b) => format!("s pair {} {} {count}\n", name(a), name(b)),
+            EdgeKind::Final(s) => format!("s final {} {count}\n", name(s)),
+            EdgeKind::Epsilon => format!("s empty {count}\n"),
+        };
+    }
+
+    out += &format!("c words {}\n", bag.total());
+    let syms: BTreeSet<Sym> = bag.words().flatten().copied().collect();
+    for &s in &syms {
+        out += &format!("c sym {}\n", name(s));
+    }
+    let pairs: BTreeSet<(Sym, Sym)> = bag
+        .words()
+        .flat_map(|w| w.windows(2).map(|p| (p[0], p[1])))
+        .collect();
+    for &(a, b) in &pairs {
+        out += &format!("c edge {} {}\n", name(a), name(b));
+    }
+    let mut vectors: BTreeMap<Vec<(Sym, u32)>, u64> = BTreeMap::new();
+    for (w, n) in bag.iter() {
+        let mut counts: BTreeMap<Sym, u32> = BTreeMap::new();
+        for &s in w {
+            *counts.entry(s).or_default() += 1;
+        }
+        *vectors.entry(counts.into_iter().collect()).or_default() += u64::from(n);
+    }
+    for (vector, mult) in vectors {
+        out += &format!("c vec {mult}");
+        for (s, c) in vector {
+            out += &format!(" {}={c}", name(s));
+        }
+        out.push('\n');
+    }
+
+    if !with_kore || bag.is_empty() {
+        return out;
+    }
+    // Marked symbols sort by (symbol, occurrence), as the k-ORE learner's
+    // encoding does.
+    let (mut initial, mut finals, mut edges) = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+    let mut empty = false;
+    for w in bag.words() {
+        let mut seen: BTreeMap<Sym, usize> = BTreeMap::new();
+        let marked: Vec<(Sym, usize)> = w
+            .iter()
+            .map(|&s| {
+                let occ = seen.entry(s).or_default();
+                *occ = (*occ + 1).min(MAX_K);
+                (s, *occ)
+            })
+            .collect();
+        match (marked.first(), marked.last()) {
+            (Some(&first), Some(&last)) => {
+                initial.insert(first);
+                finals.insert(last);
+            }
+            _ => empty = true,
+        }
+        edges.extend(marked.windows(2).map(|p| (p[0], p[1])));
+    }
+    out += &format!("k words {}\n", bag.total());
+    if empty {
+        out += "k empty\n";
+    }
+    for (s, occ) in initial {
+        out += &format!("k initial {} {occ}\n", name(s));
+    }
+    for (s, occ) in finals {
+        out += &format!("k final {} {occ}\n", name(s));
+    }
+    for ((a, oa), (b, ob)) in edges {
+        out += &format!("k edge {} {oa} {} {ob}\n", name(a), name(b));
+    }
     out
 }
 
