@@ -11,8 +11,23 @@ use dtdinfer_xml::infer::InferenceEngine;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
+use std::sync::{mpsc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
+
+/// The flight ring and the panic hook are process-wide, and the tests of
+/// this binary share its CPUs. A test that times the daemon or looks for
+/// one event in the ring runs alone ([`exclusive`]): a sibling's requests
+/// could otherwise push that event out of the ring, or its load stretch
+/// the timing. Every other test holds [`shared`].
+static RUNNING: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    RUNNING.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    RUNNING.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct Server {
     addr: String,
@@ -94,6 +109,7 @@ fn corpus() -> Vec<String> {
 
 #[test]
 fn ingest_then_dtd_matches_sequential_inference() {
+    let _running = shared();
     let dir = scratch("dtd");
     let server = boot(&dir, |_| {});
     for doc in corpus() {
@@ -159,6 +175,7 @@ fn random_document(rng: &mut Rng, leaves: &[&str]) -> String {
 /// a cold derive: the session's warm derivation is invisible on the wire.
 #[test]
 fn random_ingest_replies_match_cold_derivations() {
+    let _running = shared();
     use dtdinfer_serve::session::{classify_drift, ingest_json, IngestOutcome};
     use dtdinfer_xml::diff::{diff, Relation};
     let dir = scratch("random");
@@ -209,6 +226,7 @@ fn random_ingest_replies_match_cold_derivations() {
 /// to `POST /shutdown`: the blocking accept is woken, not polled.
 #[test]
 fn idle_daemon_stops_promptly_after_shutdown_request() {
+    let _running = exclusive();
     let dir = scratch("idle-stop");
     let server = boot(&dir, |_| {});
     std::thread::sleep(Duration::from_millis(200));
@@ -223,6 +241,7 @@ fn idle_daemon_stops_promptly_after_shutdown_request() {
 
 #[test]
 fn ndxml_batch_ingest_and_listing() {
+    let _running = shared();
     let dir = scratch("batch");
     let server = boot(&dir, |_| {});
     let batch = corpus().join("\n");
@@ -245,6 +264,7 @@ fn ndxml_batch_ingest_and_listing() {
 
 #[test]
 fn crash_recovery_reproduces_schema_without_reingesting() {
+    let _running = shared();
     let dir = scratch("crash");
     let server = boot(&dir, |_| {});
     for doc in corpus() {
@@ -278,6 +298,7 @@ fn crash_recovery_reproduces_schema_without_reingesting() {
 
 #[test]
 fn graceful_shutdown_flushes_dirty_sessions() {
+    let _running = shared();
     let dir = scratch("flush");
     let server = boot(&dir, |c| c.compact_min_bytes = u64::MAX); // never auto-compact
     for doc in corpus().iter().take(3) {
@@ -301,6 +322,7 @@ fn graceful_shutdown_flushes_dirty_sessions() {
 
 #[test]
 fn sse_stream_emits_classified_drift_events() {
+    let _running = shared();
     let dir = scratch("sse");
     let server = boot(&dir, |_| {});
     // Create the session first (events 404 on unknown sessions).
@@ -349,6 +371,7 @@ fn sse_stream_emits_classified_drift_events() {
 
 #[test]
 fn validate_endpoint_shares_witness_serializer() {
+    let _running = shared();
     let dir = scratch("val");
     let server = boot(&dir, |_| {});
     // No session yet → 404; empty session → 409 is unreachable via HTTP
@@ -372,6 +395,7 @@ fn validate_endpoint_shares_witness_serializer() {
 
 #[test]
 fn admission_control_and_metrics() {
+    let _running = shared();
     let dir = scratch("admit");
     let server = boot(&dir, |c| {
         c.max_sessions = 2;
@@ -418,6 +442,7 @@ fn admission_control_and_metrics() {
 
 #[test]
 fn request_telemetry_labels_logs_and_debug_endpoints() {
+    let _running = shared();
     let dir = scratch("telemetry");
     let log_path = dir.join("access.log");
     let log_for_config = log_path.clone();
@@ -500,6 +525,7 @@ fn request_telemetry_labels_logs_and_debug_endpoints() {
 
 #[test]
 fn hostile_paths_are_sanitized_in_error_bodies() {
+    let _running = shared();
     let dir = scratch("hostile");
     let server = boot(&dir, |_| {});
     // Terminal-escape injection via the request path must come back
@@ -527,6 +553,7 @@ fn hostile_paths_are_sanitized_in_error_bodies() {
 
 #[test]
 fn metrics_scrape_is_consistent_under_concurrent_ingest() {
+    let _running = shared();
     let dir = scratch("scrape");
     let server = boot(&dir, |c| c.max_body_bytes = 64 * 1024 * 1024);
     let addr = server.addr.clone();
@@ -574,6 +601,7 @@ fn metrics_scrape_is_consistent_under_concurrent_ingest() {
 
 #[test]
 fn panic_drill_is_recorded_and_survivable() {
+    let _running = exclusive();
     let dir = scratch("panic");
     let server = boot(&dir, |c| {
         c.debug_panic = true;
