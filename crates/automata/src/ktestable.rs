@@ -1,4 +1,4 @@
-//! k-testable languages in the strict sense (García & Vidal, cited as [23]).
+//! k-testable languages in the strict sense (García & Vidal, cited as \[23\]).
 //!
 //! The paper builds exclusively on the k = 2 case — a 2-testable language
 //! is determined by its allowed first symbols, last symbols and 2-grams,

@@ -17,7 +17,10 @@
 //! * [`nfa`] / [`dfa`] — position NFAs, subset construction, DFA product,
 //!   language equivalence and inclusion. These are the verification
 //!   backbone: every claim of the form `L(A) = L(r)` or `L(A) ⊆ L(r)` in
-//!   the test suite is checked through this module.
+//!   the test suite, and every comparison `diff` makes, is decided on the
+//!   product of two DFAs; nothing here minimizes or complements one.
+//! * [`ktestable`] — k-testable languages in the strict sense, whose
+//!   k = 2 case is the SOA.
 
 #![warn(missing_docs)]
 
@@ -25,9 +28,7 @@ pub mod dfa;
 pub mod gfa;
 pub mod glushkov;
 pub mod ktestable;
-pub mod minimize;
 pub mod nfa;
-pub mod ops;
 pub mod soa;
 pub mod state_elim;
 

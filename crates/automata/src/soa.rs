@@ -91,21 +91,6 @@ impl Soa {
         }
     }
 
-    /// Rebuilds the automaton under a symbol translation, e.g. into
-    /// another [`Alphabet`].
-    ///
-    /// `f` must be injective on this automaton's states; otherwise distinct
-    /// states would collapse and the language would grow.
-    pub fn remap(&self, mut f: impl FnMut(Sym) -> Sym) -> Soa {
-        Soa {
-            states: self.states.iter().map(|&s| f(s)).collect(),
-            edges: self.edges.iter().map(|&(a, b)| (f(a), f(b))).collect(),
-            initial: self.initial.iter().map(|&s| f(s)).collect(),
-            finals: self.finals.iter().map(|&s| f(s)).collect(),
-            accepts_empty: self.accepts_empty,
-        }
-    }
-
     /// Builds an SOA from an explicit `(I, F, S)` triple.
     pub fn from_parts(
         initial: impl IntoIterator<Item = Sym>,
@@ -333,21 +318,6 @@ mod tests {
         assert_eq!(succ_b, vec![s("c"), s("d")]);
         let pred_b: Vec<Sym> = soa.pred(s("b")).collect();
         assert_eq!(pred_b, vec![s("a")]);
-    }
-
-    #[test]
-    fn remap_translates_every_component() {
-        let mut al = Alphabet::new();
-        let soa = Soa::learn(&sample(&mut al, &["ab", ""]));
-        // Shift all ids by 10.
-        let shifted = soa.remap(|s| Sym(s.0 + 10));
-        assert!(shifted.accepts_empty);
-        assert_eq!(shifted.num_states(), soa.num_states());
-        assert_eq!(shifted.num_edges(), soa.num_edges());
-        assert!(shifted.accepts(&[Sym(10), Sym(11)]));
-        assert!(!shifted.accepts(&al.word_from_chars("ab")));
-        // Remapping back round-trips.
-        assert_eq!(shifted.remap(|s| Sym(s.0 - 10)), soa);
     }
 
     #[test]

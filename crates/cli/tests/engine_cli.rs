@@ -263,16 +263,20 @@ fn parse_errors_name_the_failing_file_deterministically() {
     let dir = scratch("badxml");
     let good = dir.join("good.xml");
     let bad = dir.join("z-bad.xml");
+    let worse = dir.join("a-worse.xml");
     std::fs::write(&good, "<r><a/></r>").unwrap();
     std::fs::write(&bad, "<r><a></r>").unwrap();
-    for jobs in ["1", "4"] {
-        let err = run_err(&[
-            "infer",
-            "--jobs",
-            jobs,
-            good.to_str().unwrap(),
-            bad.to_str().unwrap(),
-        ]);
+    std::fs::write(&worse, "<r><b></r>").unwrap();
+    // The first broken file on the command line is reported, wherever
+    // the two land among the workers.
+    let mut files = vec![good.to_str().unwrap(); 40];
+    files[13] = bad.to_str().unwrap();
+    files[29] = worse.to_str().unwrap();
+    for jobs in ["1", "2", "3", "8"] {
+        let mut args = vec!["infer", "--jobs", jobs];
+        args.extend(&files);
+        let err = run_err(&args);
         assert!(err.contains("z-bad.xml"), "--jobs {jobs}: {err}");
+        assert!(!err.contains("a-worse.xml"), "--jobs {jobs}: {err}");
     }
 }

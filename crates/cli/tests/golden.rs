@@ -1,6 +1,6 @@
 //! Golden-output regression tests: the DTD and XSD inferred from the
 //! shipped book catalogs are pinned byte-for-byte against
-//! `testdata/golden/`, for the sequential path and every `--jobs` count.
+//! `testdata/golden/`, without `--jobs` and at every `--jobs` count.
 //!
 //! These files were produced by the pre-streaming extractor (unbounded
 //! sample collection, owned parser events); the streaming pipeline must

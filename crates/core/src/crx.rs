@@ -23,7 +23,6 @@
 
 use crate::model::InferredModel;
 use dtdinfer_regex::alphabet::{Sym, Word};
-use dtdinfer_regex::ast::Regex;
 use dtdinfer_regex::classify::{chare_to_regex, ChareFactor, ChareModifier};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -84,11 +83,6 @@ impl CrxState {
     /// Number of words absorbed so far.
     pub fn num_words(&self) -> usize {
         self.num_words
-    }
-
-    /// Whether any non-empty word was absorbed (the element has children).
-    pub fn has_symbols(&self) -> bool {
-        !self.syms.is_empty()
     }
 
     /// Runs steps 1–4 of Algorithm 3 on the accumulated state.
@@ -299,11 +293,6 @@ where
         state.absorb_counted(w, n);
     }
     state.infer()
-}
-
-/// Builds `r` as a [`Regex`] from CRX factors (re-exported convenience).
-pub fn factors_to_regex(factors: &[ChareFactor]) -> Regex {
-    chare_to_regex(factors)
 }
 
 /// Tarjan's strongly connected components; returns components as vertex

@@ -238,9 +238,8 @@ impl KoreState {
 
     /// Derives a deterministic k-ORE: the candidate of
     /// [`derive_repeated`](Self::derive_repeated) when there is one, else
-    /// the `k = 1` candidate — [`at_k1`] of the SORE that iDTD derives
-    /// over the [unmarked](Self::unmarked) automaton, deterministic by
-    /// definition (§3).
+    /// the `k = 1` candidate — `at_k1` of the SORE that iDTD derives
+    /// over the unmarked automaton, deterministic by definition (§3).
     ///
     /// The soundness chain `L(sample) ⊆ L(k-ORE)` holds at every `k`: the
     /// marked SOA over-approximates the marked sample (Theorem 2 over the
@@ -274,7 +273,7 @@ impl KoreState {
     /// run iDTD over the marked alphabet, erase the marks, and return the
     /// first candidate whose unmarked expression is one-unambiguous.
     /// `None` when no fold is (or no symbol was seen): the k-ORE is then
-    /// the `k = 1` candidate, which [`at_k1`] reads off the element's
+    /// the `k = 1` candidate, which `at_k1` reads off the element's
     /// SORE, so `--engine auto` does not derive it twice.
     pub fn derive_repeated(&self) -> Option<KoreOutcome> {
         let _span = dtdinfer_obs::span("core.kore");
@@ -444,7 +443,7 @@ impl<'a> WalkCode<'a> {
 /// model bits (`token_count` symbols/operators, each at `⌈log2⌉` of the
 /// alphabet size plus the four operator kinds) plus data bits (the
 /// Glushkov-walk code of every word, weighted by its count, read from
-/// the model's [`WalkCode`]). All integer and saturating, so the
+/// the model's `WalkCode` table). All integer and saturating, so the
 /// comparison is exact and platform-independent.
 pub fn mdl_cost(model: &InferredModel, alphabet_len: usize, words: &WordBag) -> u64 {
     match model {
@@ -499,7 +498,7 @@ pub struct AutoPick {
 /// guarantees of the sharded engine.
 ///
 /// `kore` is [`KoreState::derive_repeated`]'s candidate. `None` means the
-/// k-ORE is the `k = 1` candidate, read off the SORE by [`at_k1`]: nearly
+/// k-ORE is the `k = 1` candidate, read off the SORE by `at_k1`: nearly
 /// always the SORE itself, which is not costed twice and whose equal cost
 /// loses the tie to SORE.
 pub fn pick_auto(

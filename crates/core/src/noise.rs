@@ -137,45 +137,6 @@ impl SupportSoa {
         self.sym_support.iter().map(|(&s, &c)| (s, c)).collect()
     }
 
-    /// The simple countermeasure: an SOA with every symbol of support
-    /// < `threshold` dropped (with its incident edges) and every surviving
-    /// edge of support < `threshold` dropped.
-    pub fn pruned(&self, threshold: u64) -> Soa {
-        let keep = |s: &Sym| self.symbol_support(*s) >= threshold;
-        let mut soa = Soa::new();
-        soa.states = self.soa.states.iter().copied().filter(keep).collect();
-        soa.initial = self
-            .soa
-            .initial
-            .iter()
-            .copied()
-            .filter(|s| keep(s) && self.support(EdgeKind::Initial(*s)) >= threshold)
-            .collect();
-        soa.finals = self
-            .soa
-            .finals
-            .iter()
-            .copied()
-            .filter(|s| keep(s) && self.support(EdgeKind::Final(*s)) >= threshold)
-            .collect();
-        soa.edges = self
-            .soa
-            .edges
-            .iter()
-            .copied()
-            .filter(|&(a, b)| {
-                keep(&a) && keep(&b) && self.support(EdgeKind::Pair(a, b)) >= threshold
-            })
-            .collect();
-        soa.accepts_empty = self.soa.accepts_empty && self.support(EdgeKind::Epsilon) >= threshold;
-        soa
-    }
-
-    /// iDTD over the pruned automaton (the simple §9 treatment).
-    pub fn infer_pruned(&self, threshold: u64) -> InferredModel {
-        idtd_with(&self.pruned(threshold), IdtdConfig::default())
-    }
-
     /// A symbol-only prune: drops element names whose total support is
     /// below `threshold` (with their incident edges) but keeps every edge
     /// between surviving symbols. The "obvious way in dealing with noise"
@@ -306,7 +267,7 @@ mod tests {
         let s = SupportSoa::learn(&noisy_corpus(&mut al));
         let z = al.get("z").unwrap();
         assert!(s.soa().states.contains(&z));
-        let pruned = s.pruned(5);
+        let pruned = s.pruned_symbols(5);
         assert!(!pruned.states.contains(&z));
         assert!(pruned.states.contains(&al.get("a").unwrap()));
     }
@@ -315,7 +276,7 @@ mod tests {
     fn pruned_inference_recovers_clean_expression() {
         let mut al = Alphabet::new();
         let s = SupportSoa::learn(&noisy_corpus(&mut al));
-        let r = s.infer_pruned(5).into_regex().unwrap();
+        let r = s.infer_denoised(5).into_regex().unwrap();
         let target = parse("(a | b | c)*", &mut al).unwrap();
         assert!(equiv_commutative(&r, &target), "got {}", render(&r, &al));
     }

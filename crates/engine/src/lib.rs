@@ -11,13 +11,17 @@
 //! is derived. The multiset is a union of per-document contributions, so
 //! the state can be built **in parallel**:
 //!
-//! 1. **Shard** — a std-only worker pool ([`pool::ingest`]) pulls documents
-//!    off a shared queue; each worker folds child-word multisets into a
-//!    shard-local [`EngineState`].
-//! 2. **Merge** — shard states are combined with [`EngineState::merge`]
-//!    (alphabets reconciled by name, multisets and reservoirs added
-//!    pointwise). Every merge is commutative, so the result is independent
-//!    of how documents were distributed over shards.
+//! 1. **Shard** — a std-only worker pool ([`pool::ingest_source`]) runs one
+//!    worker loop for every job count: workers pull documents off a shared
+//!    queue and fold their child-word multisets into a state. The caller is
+//!    shard 0 and folds straight into the base state; each of the `jobs − 1`
+//!    helpers folds into a fresh [`EngineState`]. A shard stops at its own
+//!    first failing document, and the lowest failing index is reported.
+//! 2. **Merge** — the helpers' states are folded into the base with
+//!    [`EngineState::merge`] (alphabets reconciled by name, multisets and
+//!    reservoirs added pointwise); one job merges nothing. Every merge is
+//!    commutative, so the result is independent of how documents were
+//!    distributed over shards.
 //! 3. **Derive** — the state is a `Corpus`, so [`EngineState::derive`] is
 //!    `infer_dtd_with_stats`: it canonicalizes the alphabet (name-sorted,
 //!    making the output independent of document arrival order) and learns
@@ -86,12 +90,6 @@ impl EngineState {
         Self::default()
     }
 
-    /// [`EngineState::absorb_document`], attributing any parse error to
-    /// `source` (usually the file path).
-    pub fn absorb_document_from(&mut self, doc: &str, source: &str) -> Result<(), XmlError> {
-        self.absorb_document(doc).map_err(|e| e.with_source(source))
-    }
-
     /// Parses one document and folds its statistics in.
     pub fn absorb_document(&mut self, doc: &str) -> Result<(), XmlError> {
         self.absorb_document_with(doc, &mut ParseArena::new())
@@ -131,11 +129,6 @@ impl EngineState {
         }
         self.num_documents += other.num_documents;
         dtdinfer_obs::count("engine.merges", 1);
-    }
-
-    /// Total absorbed child-name sequences across all elements.
-    pub fn total_words(&self) -> u64 {
-        self.total_sequences() as u64
     }
 
     /// A copy re-interned over a name-sorted alphabet; see
@@ -236,7 +229,7 @@ mod tests {
             let mut merged = engine_state(&docs[..cut]);
             merged.merge(&engine_state(&docs[cut..]));
             assert_eq!(merged.num_documents, whole.num_documents);
-            assert_eq!(merged.total_words(), whole.total_words());
+            assert_eq!(merged.total_sequences(), whole.total_sequences());
             for engine in [
                 InferenceEngine::Crx,
                 InferenceEngine::Idtd,
@@ -268,16 +261,6 @@ mod tests {
             ab.derive(InferenceEngine::Idtd).0.serialize(),
             ba.derive(InferenceEngine::Idtd).0.serialize()
         );
-    }
-
-    #[test]
-    fn parse_error_carries_source_when_named() {
-        let mut state = EngineState::new();
-        let err = state
-            .absorb_document_from("<r><a></r>", "corpus/broken.xml")
-            .unwrap_err();
-        assert_eq!(err.source.as_deref(), Some("corpus/broken.xml"));
-        assert!(err.to_string().starts_with("corpus/broken.xml: "));
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Std-only worker pool for sharded corpus ingestion.
 //!
-//! Workers (`std::thread::scope` + an atomic work queue, no external
-//! dependencies) claim document indices off a shared counter in adaptive
-//! chunks, load each document themselves from a [`DocSource`] (a reused
-//! per-worker buffer — at most one document resident per worker), fold it
-//! into a shard-local [`EngineState`], and drop it. The shards are then
-//! merged in index order. Which document lands on which shard is
-//! scheduling-dependent, but every per-element summary is a commutative
-//! union of per-word contributions and derivation canonicalizes the
-//! alphabet, so the derived DTD is byte-identical for any worker count.
+//! Every job count runs one worker loop (`std::thread::scope` + an atomic
+//! work queue, no external dependencies): the calling thread is shard 0
+//! and folds its documents straight into the base state, and `jobs − 1`
+//! scoped helpers each fold theirs into a fresh [`EngineState`]. A worker
+//! claims document indices off a shared counter in adaptive chunks, loads
+//! each document itself from a [`DocSource`] (a reused per-worker buffer
+//! — at most one document resident per worker), absorbs it and drops it,
+//! and stops at its own first failing document. The helpers' states are
+//! then merged into the base in shard order. Which document lands on
+//! which shard is scheduling-dependent, but every per-element summary is
+//! a commutative union of per-word contributions and derivation
+//! canonicalizes the alphabet, so the derived DTD is byte-identical for
+//! any worker count.
 //!
 //! Chunked claiming: one `fetch_add` hands a worker a run of consecutive
 //! indices, sized to the work remaining (`remaining / (jobs * 8)`, clamped
@@ -44,9 +48,9 @@ pub struct ShardReport {
     /// chunked claiming this is far below `documents` on large corpora —
     /// the contention win `stats --jobs` reports.
     pub claims: u64,
-    /// Queue polls that found no work left (1 per worker with the current
-    /// counter queue — its exit poll; 0 on the sequential path, which has
-    /// no queue).
+    /// Queue polls that found no work left: 1 for a worker that drained
+    /// the queue (its exit poll), 0 for one that stopped at a failing
+    /// document.
     pub idle_polls: u64,
 }
 
@@ -69,7 +73,8 @@ pub struct Ingest {
     pub state: EngineState,
     /// Per-shard accounting, in shard order.
     pub shards: Vec<ShardReport>,
-    /// Wall-clock time spent merging shard states (0 for one shard).
+    /// Wall-clock time spent merging the helpers' states into the base
+    /// (0 for one job, which merges nothing).
     pub merge_ns: u64,
     /// Peak bytes of document text resident across all workers at any
     /// moment — the ingestion memory high-water mark (O(jobs · max
@@ -101,8 +106,8 @@ impl fmt::Display for IngestFailure {
 ///
 /// With multiple workers, documents after the failing one may already have
 /// been absorbed elsewhere, but the *reported* failure is always the
-/// lowest-indexed bad document — the same one sequential ingestion stops
-/// at — so error output is deterministic too.
+/// lowest-indexed bad document — the same one a single worker stops at —
+/// so error output is deterministic too.
 #[derive(Debug, Clone)]
 pub struct IngestError {
     /// Index into the ingested document sequence.
@@ -171,22 +176,25 @@ fn chunk_size(total: usize, claimed: usize, jobs: usize) -> usize {
 
 /// Ingests in-memory `docs` into a fresh state with `jobs` workers.
 pub fn ingest<D: AsRef<str> + Sync>(docs: &[D], jobs: usize) -> Result<Ingest, IngestError> {
-    ingest_into(EngineState::new(), docs, jobs)
+    ingest_source(EngineState::new(), &MemSource::new(docs), jobs)
 }
 
-/// Ingests in-memory `docs` into an existing state (warm start from a
-/// snapshot) with `jobs` workers.
-pub fn ingest_into<D: AsRef<str> + Sync>(
-    base: EngineState,
-    docs: &[D],
+/// What every shard shares: the documents, the claim counter and the
+/// residency tracker.
+struct Queue<'a, S> {
+    source: &'a S,
+    total: usize,
     jobs: usize,
-) -> Result<Ingest, IngestError> {
-    ingest_source(base, &MemSource::new(docs), jobs)
+    next: AtomicUsize,
+    in_flight: InFlight,
 }
 
 /// Ingests every document of `source` into `base` with `jobs` workers.
-/// Workers pull indices and load documents themselves, so peak memory is
-/// O(jobs · max document size) regardless of corpus size.
+/// The calling thread is shard 0 and folds its documents straight into
+/// `base`; `jobs − 1` scoped helpers fold theirs into fresh states that
+/// are merged in afterwards, so one job spawns no thread and merges
+/// nothing. Workers pull indices and load documents themselves, so peak
+/// memory is O(jobs · max document size) regardless of corpus size.
 pub fn ingest_source<S: DocSource>(
     base: EngineState,
     source: &S,
@@ -194,101 +202,55 @@ pub fn ingest_source<S: DocSource>(
 ) -> Result<Ingest, IngestError> {
     let _span = dtdinfer_obs::span("engine.ingest");
     let total = source.len();
-    let jobs = jobs.max(1).min(total.max(1));
-    if jobs == 1 {
-        return ingest_sequential(base, source);
-    }
-    let next = AtomicUsize::new(0);
-    let in_flight = InFlight::default();
-    let workers: Vec<(EngineState, ShardReport, Option<IngestError>)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|shard| {
-                    let next = &next;
-                    let in_flight = &in_flight;
-                    scope.spawn(move || {
-                        // The span runs on the worker thread, so traces
-                        // carry one distinct tid per worker.
-                        let _span = dtdinfer_obs::span("engine.shard");
-                        let started = Instant::now();
-                        let mut local = EngineState::new();
-                        let mut buf = String::new();
-                        let mut arena = ParseArena::new();
-                        let mut documents = 0u64;
-                        let mut bytes = 0u64;
-                        let mut busy_ns = 0u64;
-                        let mut claims = 0u64;
-                        let mut idle_polls = 0u64;
-                        let mut first_error: Option<IngestError> = None;
-                        loop {
-                            let k = chunk_size(total, next.load(Ordering::Relaxed), jobs);
-                            let start = next.fetch_add(k, Ordering::Relaxed);
-                            if start >= total {
-                                idle_polls += 1;
-                                break;
-                            }
-                            claims += 1;
-                            record_heartbeat(
-                                total.saturating_sub((start + k).min(total)),
-                                in_flight,
-                            );
-                            for i in start..(start + k).min(total) {
-                                let doc_started = Instant::now();
-                                match absorb_one(
-                                    &mut local, source, i, &mut buf, &mut arena, in_flight,
-                                ) {
-                                    Ok(len) => {
-                                        documents += 1;
-                                        bytes += len;
-                                    }
-                                    Err(error) => {
-                                        let earlier =
-                                            first_error.as_ref().is_none_or(|e| i < e.doc_index);
-                                        if earlier {
-                                            first_error = Some(error);
-                                        }
-                                    }
-                                }
-                                busy_ns += elapsed_ns(doc_started);
-                            }
-                        }
-                        let report = ShardReport {
-                            shard,
-                            documents,
-                            words: local.total_words(),
-                            bytes,
-                            duration_ns: elapsed_ns(started),
-                            busy_ns,
-                            claims,
-                            idle_polls,
-                        };
-                        (local, report, first_error)
-                    })
+    let queue = Queue {
+        source,
+        total,
+        jobs: jobs.max(1).min(total.max(1)),
+        next: AtomicUsize::new(0),
+        in_flight: InFlight::default(),
+    };
+    let mut state = base;
+    let ((first, first_failure), helpers) = std::thread::scope(|scope| {
+        let queue = &queue;
+        let handles: Vec<_> = (1..queue.jobs)
+            .map(|shard| {
+                scope.spawn(move || {
+                    let mut local = EngineState::new();
+                    let (report, failure) = run_shard(shard, &mut local, queue);
+                    (local, report, failure)
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-    if let Some(err) = workers
+            })
+            .collect();
+        let first = run_shard(0, &mut state, queue);
+        let helpers: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect();
+        (first, helpers)
+    });
+    // Every index below a shard's failure was claimed by a shard that
+    // had not failed yet and absorbed it, so the lowest first failure
+    // is the lowest failing document overall.
+    if let Some(err) = first_failure
         .iter()
-        .filter_map(|(_, _, e)| e.clone())
+        .chain(helpers.iter().filter_map(|(_, _, e)| e.as_ref()))
         .min_by_key(|e| e.doc_index)
     {
-        return Err(err);
+        return Err(err.clone());
     }
-    let merge_started = Instant::now();
-    let mut state = base;
-    let mut shards = Vec::with_capacity(workers.len());
-    for (local, report, _) in workers {
-        state.merge(&local);
-        record_shard(&report);
-        shards.push(report);
+    let mut shards = vec![first];
+    let mut merge_ns = 0;
+    if !helpers.is_empty() {
+        let merge_started = Instant::now();
+        for (local, report, _) in helpers {
+            state.merge(&local);
+            shards.push(report);
+        }
+        merge_ns = elapsed_ns(merge_started);
+        dtdinfer_obs::observe("engine.merge_ns", merge_ns);
     }
-    let merge_ns = elapsed_ns(merge_started);
-    dtdinfer_obs::observe("engine.merge_ns", merge_ns);
-    let (peak_bytes_in_flight, peak_docs_in_flight) = in_flight.peaks();
+    shards.iter().for_each(record_shard);
+    let (peak_bytes_in_flight, peak_docs_in_flight) = queue.in_flight.peaks();
     record_peaks(peak_bytes_in_flight, peak_docs_in_flight);
     Ok(Ingest {
         state,
@@ -299,21 +261,74 @@ pub fn ingest_source<S: DocSource>(
     })
 }
 
-/// Loads document `i` and folds it into `local`, reusing the worker's
+/// One shard's loop, the same on the calling thread and on every
+/// helper: claims chunks of indices and folds each document into
+/// `state` until the queue is empty or a document fails, and stops at
+/// that first failure.
+fn run_shard<S: DocSource>(
+    shard: usize,
+    state: &mut EngineState,
+    queue: &Queue<S>,
+) -> (ShardReport, Option<IngestError>) {
+    // Helpers open the span on their own thread, so traces carry one
+    // distinct tid per worker.
+    let _span = dtdinfer_obs::span("engine.shard");
+    let started = Instant::now();
+    let words_before = state.total_sequences();
+    let mut buf = String::new();
+    let mut arena = ParseArena::new();
+    let mut report = ShardReport {
+        shard,
+        documents: 0,
+        words: 0,
+        bytes: 0,
+        duration_ns: 0,
+        busy_ns: 0,
+        claims: 0,
+        idle_polls: 0,
+    };
+    let failure = 'claims: loop {
+        let k = chunk_size(queue.total, queue.next.load(Ordering::Relaxed), queue.jobs);
+        let start = queue.next.fetch_add(k, Ordering::Relaxed);
+        if start >= queue.total {
+            report.idle_polls += 1;
+            break None;
+        }
+        report.claims += 1;
+        let end = (start + k).min(queue.total);
+        record_heartbeat(queue.total - end, &queue.in_flight);
+        for i in start..end {
+            let doc_started = Instant::now();
+            let absorbed = absorb_one(state, queue, i, &mut buf, &mut arena);
+            report.busy_ns += elapsed_ns(doc_started);
+            match absorbed {
+                Ok(len) => {
+                    report.documents += 1;
+                    report.bytes += len;
+                }
+                Err(error) => break 'claims Some(error),
+            }
+        }
+    };
+    report.words = (state.total_sequences() - words_before) as u64;
+    report.duration_ns = elapsed_ns(started);
+    (report, failure)
+}
+
+/// Loads document `i` and folds it into `state`, reusing the worker's
 /// `buf` and `arena` scratch and tracking residency. Returns the
 /// document's size in bytes.
 fn absorb_one<S: DocSource>(
-    local: &mut EngineState,
-    source: &S,
+    state: &mut EngineState,
+    queue: &Queue<S>,
     i: usize,
     buf: &mut String,
     arena: &mut ParseArena,
-    in_flight: &InFlight,
 ) -> Result<u64, IngestError> {
     // The document is named only when it fails: a parse error carries the
     // name as its source, as a read error carries the path in its message.
     let fail = |error: IngestFailure| {
-        let source = source.name(i);
+        let source = queue.source.name(i);
         let error = match (error, &source) {
             (IngestFailure::Parse(e), Some(name)) => IngestFailure::Parse(e.with_source(name)),
             (error, _) => error,
@@ -324,57 +339,16 @@ fn absorb_one<S: DocSource>(
             error,
         }
     };
-    let doc = source
+    let doc = queue
+        .source
         .load(i, buf)
         .map_err(|m| fail(IngestFailure::Read(m)))?;
     let len = doc.len() as u64;
-    in_flight.enter(len);
-    let absorbed = local.absorb_document_with(doc, arena);
-    in_flight.exit(len);
+    queue.in_flight.enter(len);
+    let absorbed = state.absorb_document_with(doc, arena);
+    queue.in_flight.exit(len);
     absorbed.map_err(|e| fail(IngestFailure::Parse(e)))?;
     Ok(len)
-}
-
-fn ingest_sequential<S: DocSource>(base: EngineState, source: &S) -> Result<Ingest, IngestError> {
-    let started = Instant::now();
-    let mut state = base;
-    let words_before = state.total_words();
-    let mut buf = String::new();
-    let mut arena = ParseArena::new();
-    let in_flight = InFlight::default();
-    let mut busy_ns = 0u64;
-    let mut bytes = 0u64;
-    for i in 0..source.len() {
-        let doc_started = Instant::now();
-        bytes += absorb_one(&mut state, source, i, &mut buf, &mut arena, &in_flight)?;
-        busy_ns += elapsed_ns(doc_started);
-        // The sequential path has no claim points; heartbeat every 64
-        // documents so long single-threaded ingests still feed the
-        // timeseries sampler.
-        if i % 64 == 63 {
-            record_heartbeat(source.len() - i - 1, &in_flight);
-        }
-    }
-    let report = ShardReport {
-        shard: 0,
-        documents: source.len() as u64,
-        words: state.total_words() - words_before,
-        bytes,
-        duration_ns: elapsed_ns(started),
-        busy_ns,
-        claims: u64::from(source.len() > 0),
-        idle_polls: 0,
-    };
-    record_shard(&report);
-    let (peak_bytes_in_flight, peak_docs_in_flight) = in_flight.peaks();
-    record_peaks(peak_bytes_in_flight, peak_docs_in_flight);
-    Ok(Ingest {
-        state,
-        shards: vec![report],
-        merge_ns: 0,
-        peak_bytes_in_flight,
-        peak_docs_in_flight,
-    })
 }
 
 fn record_shard(report: &ShardReport) {
@@ -471,14 +445,20 @@ mod tests {
 
     #[test]
     fn error_reporting_is_deterministic() {
-        let mut docs = docs(40);
-        docs[17] = "<r><unclosed></r>".to_owned();
-        docs[31] = "<also><bad></also>".to_owned();
-        for jobs in [1, 4] {
-            let err = ingest(&docs, jobs).unwrap_err();
-            assert_eq!(err.doc_index, 17, "jobs {jobs}");
-            assert!(matches!(err.error, IngestFailure::Parse(_)), "{err}");
-            assert!(err.to_string().starts_with("document 17:"), "{err}");
+        // Two bad documents inside the first claim chunk (at least 6
+        // documents at every job count here), and two far apart, which
+        // different claims and usually different shards reach.
+        for (bad, lowest) in [([2, 4], 2), ([171, 377], 171)] {
+            let mut docs = docs(400);
+            docs[bad[0]] = "<r><unclosed></r>".to_owned();
+            docs[bad[1]] = "<also><bad></also>".to_owned();
+            for jobs in [1, 2, 3, 8] {
+                let err = ingest(&docs, jobs).unwrap_err();
+                assert_eq!(err.doc_index, lowest, "{bad:?} jobs {jobs}");
+                assert!(matches!(err.error, IngestFailure::Parse(_)), "{err}");
+                let prefix = format!("document {lowest}:");
+                assert!(err.to_string().starts_with(&prefix), "{err}");
+            }
         }
     }
 
@@ -533,19 +513,17 @@ mod tests {
     #[test]
     fn shard_reports_account_for_busy_time_and_idle_polls() {
         let docs = docs(60);
-        let sequential = ingest(&docs, 1).unwrap();
-        let seq = &sequential.shards[0];
-        assert_eq!(seq.idle_polls, 0, "no queue on the sequential path");
-        assert_eq!(seq.claims, 1, "sequential path claims everything once");
-        assert!(seq.busy_ns <= seq.duration_ns, "{seq:?}");
-        assert!(seq.busy_ns > 0, "60 documents take measurable time");
-
-        let parallel = ingest(&docs, 4).unwrap();
-        for s in &parallel.shards {
-            assert_eq!(s.idle_polls, 1, "one exhausted poll per worker: {s:?}");
-            assert!(s.busy_ns <= s.duration_ns, "{s:?}");
-            assert!(s.utilization_pct() <= 100.0, "{s:?}");
-            assert!(s.claims <= s.documents.max(1), "{s:?}");
+        for jobs in [1, 2, 4] {
+            let ingested = ingest(&docs, jobs).unwrap();
+            assert_eq!(ingested.shards.len(), jobs);
+            for s in &ingested.shards {
+                assert_eq!(s.idle_polls, 1, "one exhausted poll per worker: {s:?}");
+                assert!(s.busy_ns <= s.duration_ns, "{s:?}");
+                assert!(s.utilization_pct() <= 100.0, "{s:?}");
+                assert!(s.claims <= s.documents.max(1), "{s:?}");
+            }
+            let busy: u64 = ingested.shards.iter().map(|s| s.busy_ns).sum();
+            assert!(busy > 0, "60 documents take measurable time");
         }
     }
 
@@ -605,14 +583,16 @@ mod tests {
     fn warm_start_equals_one_shot() {
         let docs = docs(30);
         let one_shot = ingest(&docs, 4).unwrap();
-        let first = ingest(&docs[..12], 4).unwrap();
-        let resumed = ingest_into(first.state, &docs[12..], 4).unwrap();
-        for engine in [InferenceEngine::Crx, InferenceEngine::Idtd] {
-            assert_eq!(
-                resumed.state.derive(engine).0.serialize(),
-                one_shot.state.derive(engine).0.serialize(),
-                "{engine:?}"
-            );
+        for jobs in [1, 2, 4] {
+            let first = ingest(&docs[..12], jobs).unwrap();
+            let resumed = ingest_source(first.state, &MemSource::new(&docs[12..]), jobs).unwrap();
+            for engine in [InferenceEngine::Crx, InferenceEngine::Idtd] {
+                assert_eq!(
+                    resumed.state.derive(engine).0.serialize(),
+                    one_shot.state.derive(engine).0.serialize(),
+                    "{engine:?} jobs {jobs}"
+                );
+            }
         }
     }
 }

@@ -540,7 +540,8 @@ fn unesc(s: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ingest;
+    use crate::pool::{ingest, ingest_source};
+    use crate::source::MemSource;
     use dtdinfer_xml::infer::InferenceEngine;
 
     fn docs() -> Vec<String> {
@@ -560,7 +561,7 @@ mod tests {
         let text = save(&state);
         let restored = load(&text).unwrap();
         assert_eq!(restored.num_documents, state.num_documents);
-        assert_eq!(restored.total_words(), state.total_words());
+        assert_eq!(restored.total_sequences(), state.total_sequences());
         // Re-saving is the identity: the format is canonical.
         assert_eq!(save(&restored), text);
         for engine in [
@@ -582,17 +583,21 @@ mod tests {
     fn save_load_absorb_more_equals_one_shot() {
         let docs = docs();
         let one_shot = ingest(&docs, 2).unwrap().state;
-        let warm = load(&save(&ingest(&docs[..4], 2).unwrap().state)).unwrap();
-        let resumed = crate::pool::ingest_into(warm, &docs[4..], 2).unwrap().state;
-        for engine in [InferenceEngine::Idtd, InferenceEngine::Kore] {
-            assert_eq!(
-                resumed.derive(engine).0.serialize(),
-                one_shot.derive(engine).0.serialize(),
-                "{engine:?}"
-            );
+        for jobs in [1, 2, 4] {
+            let warm = load(&save(&ingest(&docs[..4], jobs).unwrap().state)).unwrap();
+            let resumed = ingest_source(warm, &MemSource::new(&docs[4..]), jobs)
+                .unwrap()
+                .state;
+            for engine in [InferenceEngine::Idtd, InferenceEngine::Kore] {
+                assert_eq!(
+                    resumed.derive(engine).0.serialize(),
+                    one_shot.derive(engine).0.serialize(),
+                    "{engine:?} jobs {jobs}"
+                );
+            }
+            // The snapshots themselves coincide too.
+            assert_eq!(save(&resumed), save(&one_shot), "jobs {jobs}");
         }
-        // The snapshots themselves coincide too.
-        assert_eq!(save(&resumed), save(&one_shot));
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct FuzzReport {
     pub checked: BTreeMap<&'static str, u64>,
     /// Per-oracle violation counts.
     pub violations: BTreeMap<&'static str, u64>,
-    /// First [`MAX_DETAILS`] violations, verbatim.
+    /// The first violations (up to `MAX_DETAILS`, 50), verbatim.
     pub details: Vec<(usize, Violation)>,
     /// Regression files written under the corpus directory.
     pub persisted: Vec<String>,

@@ -27,13 +27,6 @@ pub fn generate_sample(r: &Regex, n: usize, seed: u64) -> Vec<Word> {
     words
 }
 
-/// Random-only sampling (no coverage guarantee) — used when modelling the
-/// sparse-data scenario.
-pub fn generate_random_sample(r: &Regex, n: usize, seed: u64) -> Vec<Word> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    sample_words(r, &SampleConfig::default(), &mut rng, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,6 +68,5 @@ mod tests {
         let mut al = Alphabet::new();
         let r = parse("(a | b)+ c", &mut al).unwrap();
         assert_eq!(generate_sample(&r, 17, 1).len(), 17);
-        assert_eq!(generate_random_sample(&r, 17, 1).len(), 17);
     }
 }

@@ -139,12 +139,6 @@ impl Regex {
         }
     }
 
-    /// Total number of symbol *occurrences*, counting repeats (unlike
-    /// [`Regex::symbols`] which deduplicates).
-    pub fn occurrence_count(&self) -> usize {
-        self.symbol_count()
-    }
-
     /// Whether the empty word is in the language of the expression.
     pub fn nullable(&self) -> bool {
         match self {

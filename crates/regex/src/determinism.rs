@@ -1,7 +1,7 @@
 //! One-unambiguity (determinism) checking.
 //!
 //! The XML specification requires content models to be *deterministic*
-//! (one-unambiguous in the sense of Brüggemann-Klein & Wood, cited as [12]
+//! (one-unambiguous in the sense of Brüggemann-Klein & Wood, cited as \[12\]
 //! in the paper): while matching a word left to right, the next input
 //! symbol must determine the next position of the expression without
 //! lookahead. §3 notes that every SORE — and hence every CHARE — is

@@ -101,12 +101,6 @@ impl WordBag {
         &self.entries
     }
 
-    /// Consumes the bag, handing back its entries (canonical order) so
-    /// callers can recycle the `Word` allocations.
-    pub fn into_entries(self) -> Vec<(Word, u32)> {
-        self.entries
-    }
-
     /// Number of distinct words.
     pub fn distinct(&self) -> usize {
         self.entries.len()
@@ -252,7 +246,7 @@ mod tests {
             by_ref.insert_ref(word);
         }
         assert_eq!(by_ref, by_value);
-        assert_eq!(by_ref.into_entries(), by_value.as_slice().to_vec());
+        assert_eq!(by_ref.as_slice(), by_value.as_slice());
     }
 
     #[test]

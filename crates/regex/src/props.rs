@@ -38,13 +38,6 @@ impl Linearized {
     pub fn is_empty(&self) -> bool {
         self.sym_at.is_empty()
     }
-
-    /// Whether two positions carry the same symbol somewhere (true iff the
-    /// source expression was *not* single occurrence).
-    pub fn has_duplicate_symbols(&self) -> bool {
-        let mut seen = std::collections::HashSet::new();
-        self.sym_at.iter().any(|s| !seen.insert(*s))
-    }
 }
 
 /// Intermediate per-subexpression data during linearization.
@@ -262,14 +255,6 @@ mod tests {
         let (l, _) = lin("a? b? c");
         assert_eq!(l.first, vec![0, 1, 2]);
         assert_eq!(l.last, vec![2]);
-    }
-
-    #[test]
-    fn duplicates_detected() {
-        let (l, _) = lin("a a");
-        assert!(l.has_duplicate_symbols());
-        let (l, _) = lin("a b");
-        assert!(!l.has_duplicate_symbols());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Context-aware (XSD-strength) inference — the paper's stated future work.
 //!
 //! §10: "we plan to investigate the inference of XML Schema Definitions,
-//! which by [9] can be abstracted by DTDs with vertical regular patterns".
+//! which by \[9\] can be abstracted by DTDs with vertical regular patterns".
 //! The essential extra power of XSDs over DTDs is *context*: the same
 //! element name may have different content models under different parents
 //! (the 1-local case of the vertical patterns). This module implements that
@@ -228,7 +228,7 @@ pub fn contextual_xsd(schema: &ContextualSchema) -> String {
     for (i, t) in schema.types.iter().enumerate() {
         out.push_str(&format!("  <xs:complexType name=\"{}\">\n", type_name[&i]));
         if let Some(model) = &t.model {
-            render_particles(&mut out, model, schema, &by_context, 4);
+            render_particles(&mut out, model, schema, 4);
         }
         out.push_str("  </xs:complexType>\n");
     }
@@ -247,17 +247,10 @@ pub fn contextual_xsd(schema: &ContextualSchema) -> String {
     out
 }
 
-fn render_particles(
-    out: &mut String,
-    r: &Regex,
-    schema: &ContextualSchema,
-    _by_context: &BTreeMap<(Option<Sym>, Sym), usize>,
-    indent: usize,
-) {
-    // Structural rendering; local element declarations use the element
-    // name's merged type when unique, xs:anyType otherwise (full
-    // single-type resolution is the subject of the follow-up work the
-    // paper announces).
+fn render_particles(out: &mut String, r: &Regex, schema: &ContextualSchema, indent: usize) {
+    // Structural rendering; local element declarations are typed
+    // xs:anyType (single-type resolution is the subject of the follow-up
+    // work the paper announces).
     let pad = " ".repeat(indent);
     match r {
         Regex::Symbol(s) => {
@@ -269,32 +262,32 @@ fn render_particles(
         Regex::Concat(v) => {
             out.push_str(&format!("{pad}<xs:sequence>\n"));
             for p in v {
-                render_particles(out, p, schema, _by_context, indent + 2);
+                render_particles(out, p, schema, indent + 2);
             }
             out.push_str(&format!("{pad}</xs:sequence>\n"));
         }
         Regex::Union(v) => {
             out.push_str(&format!("{pad}<xs:choice>\n"));
             for p in v {
-                render_particles(out, p, schema, _by_context, indent + 2);
+                render_particles(out, p, schema, indent + 2);
             }
             out.push_str(&format!("{pad}</xs:choice>\n"));
         }
         Regex::Optional(p) => {
             out.push_str(&format!("{pad}<xs:sequence minOccurs=\"0\">\n"));
-            render_particles(out, p, schema, _by_context, indent + 2);
+            render_particles(out, p, schema, indent + 2);
             out.push_str(&format!("{pad}</xs:sequence>\n"));
         }
         Regex::Plus(p) => {
             out.push_str(&format!("{pad}<xs:sequence maxOccurs=\"unbounded\">\n"));
-            render_particles(out, p, schema, _by_context, indent + 2);
+            render_particles(out, p, schema, indent + 2);
             out.push_str(&format!("{pad}</xs:sequence>\n"));
         }
         Regex::Star(p) => {
             out.push_str(&format!(
                 "{pad}<xs:sequence minOccurs=\"0\" maxOccurs=\"unbounded\">\n"
             ));
-            render_particles(out, p, schema, _by_context, indent + 2);
+            render_particles(out, p, schema, indent + 2);
             out.push_str(&format!("{pad}</xs:sequence>\n"));
         }
     }

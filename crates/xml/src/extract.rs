@@ -34,11 +34,6 @@ pub struct ElementFacts {
 }
 
 impl ElementFacts {
-    /// Whether the element ever had element children.
-    pub fn has_element_children(&self) -> bool {
-        self.words.words().any(|w| !w.is_empty())
-    }
-
     /// Whether the element ever had character data.
     pub fn has_text(&self) -> bool {
         !self.text_samples.is_empty()
@@ -358,8 +353,6 @@ mod tests {
         let ids: Vec<_> = c.elements[r].attributes["id"].entries().collect();
         assert_eq!(ids, vec![("7", 1)]);
         assert!(c.elements[t].has_text());
-        assert!(!c.elements[t].has_element_children());
-        assert!(c.elements[r].has_element_children());
     }
 
     #[test]

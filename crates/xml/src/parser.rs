@@ -2,7 +2,8 @@
 //!
 //! Hand-written, dependency-free, and scoped to what schema inference
 //! needs: well-formed element structure, attributes, character data (with
-//! predefined and numeric entity decoding), CDATA sections, comments,
+//! predefined and numeric entity decoding; unknown and malformed
+//! references pass through as literal text), CDATA sections, comments,
 //! processing instructions, and DOCTYPE declarations (skipped, including
 //! internal subsets). It checks tag balance — mismatched or dangling tags
 //! are errors — but does not validate against any schema; that is the job
@@ -102,14 +103,12 @@ pub struct XmlPullParser<'a> {
     /// Pending synthetic end event after a self-closing tag.
     pending_end: Option<&'a str>,
     finished: bool,
-    /// Reject malformed entity references instead of passing them through.
-    strict_entities: bool,
 }
 
 impl<'a> XmlPullParser<'a> {
     /// Creates a parser over `input`. Entity handling is lenient (unknown
     /// and malformed references pass through verbatim, as §9's noisy
-    /// real-world data requires); see [`XmlPullParser::new_strict`].
+    /// real-world data requires).
     pub fn new(input: &'a str) -> Self {
         Self {
             input,
@@ -117,17 +116,6 @@ impl<'a> XmlPullParser<'a> {
             stack: Vec::new(),
             pending_end: None,
             finished: false,
-            strict_entities: false,
-        }
-    }
-
-    /// Like [`XmlPullParser::new`], but malformed entity references
-    /// (`&#xZZ;`, unterminated `&amp`, surrogate code points, unknown
-    /// names) are hard errors with exact line/column positions.
-    pub fn new_strict(input: &'a str) -> Self {
-        Self {
-            strict_entities: true,
-            ..Self::new(input)
         }
     }
 
@@ -135,12 +123,9 @@ impl<'a> XmlPullParser<'a> {
         self.input.as_bytes()
     }
 
+    /// An error at the current position, with its line and column.
     fn err<T>(&self, message: &str) -> Result<T, XmlError> {
-        self.err_at(self.pos, message)
-    }
-
-    fn err_at<T>(&self, offset: usize, message: &str) -> Result<T, XmlError> {
-        let offset = offset.min(self.input.len());
+        let offset = self.pos.min(self.input.len());
         let before = &self.bytes()[..offset];
         let line = before.iter().filter(|&&b| b == b'\n').count() + 1;
         let column = before
@@ -224,20 +209,6 @@ impl<'a> XmlPullParser<'a> {
         Ok(&self.input[start..self.pos])
     }
 
-    /// Entity-decodes a raw slice that started at absolute byte `offset`,
-    /// borrowing when no decoding is needed. In strict mode a malformed
-    /// reference is an error positioned at its `&`.
-    fn decode(&self, raw: &'a str, offset: usize) -> Result<Cow<'a, str>, XmlError> {
-        if self.strict_entities {
-            match decode_entities_strict(raw) {
-                Ok(decoded) => Ok(decoded),
-                Err(e) => self.err_at(offset + e.offset, &e.message),
-            }
-        } else {
-            Ok(decode_entities_cow(raw))
-        }
-    }
-
     /// Pulls the next event; `Ok(None)` at end of input (only legal once all
     /// elements are closed).
     #[allow(clippy::should_implement_trait)]
@@ -282,7 +253,7 @@ impl<'a> XmlPullParser<'a> {
                 return self.err("character data outside the root element");
             }
             return Ok(Some(XmlEvent::Text(if has_amp {
-                self.decode(raw, start)?
+                decode_entities_cow(raw)
             } else {
                 Cow::Borrowed(raw)
             })));
@@ -399,12 +370,11 @@ impl<'a> XmlPullParser<'a> {
                         _ => return self.err("expected quoted attribute value"),
                     };
                     self.pos += 1;
-                    let value_start = self.pos;
                     let (value, has_amp) = self.take_until_byte(quote)?;
                     attributes.push((
                         attr,
                         if has_amp {
-                            self.decode(value, value_start)?
+                            decode_entities_cow(value)
                         } else {
                             Cow::Borrowed(value)
                         },
@@ -512,13 +482,6 @@ fn resolve_entity(entity: &str) -> Option<char> {
     }
 }
 
-/// Decodes the predefined XML entities and numeric character references.
-/// Unknown entities are passed through verbatim (lenient, like the noisy
-/// real-world data of §9 requires).
-pub fn decode_entities(s: &str) -> String {
-    decode_entities_cow(s).into_owned()
-}
-
 /// Position of the next `;` within the 12 bytes following an `&` — the
 /// longest reference this decoder resolves — so scanning for a terminator
 /// never walks the full remainder of an entity-free text run.
@@ -527,10 +490,12 @@ fn nearby_semicolon(rest: &str) -> Option<usize> {
     win.iter().position(|&b| b == b';')
 }
 
-/// [`decode_entities`] without the copy: borrows `s` when it contains no
-/// ampersand (the common case on real data), allocating only when a
-/// reference actually has to be rewritten. The gate and the reference
-/// loop both skip between ampersands with the SWAR scanner.
+/// Decodes the predefined XML entities and numeric character references.
+/// Unknown and malformed references pass through verbatim (lenient, as
+/// the noisy real-world data of §9 requires). Borrows `s` when it
+/// contains no ampersand (the common case on real data), allocating only
+/// when a reference actually has to be rewritten. The gate and the
+/// reference loop both skip between ampersands with the SWAR scanner.
 pub fn decode_entities_cow(s: &str) -> Cow<'_, str> {
     if scan::next_byte(s.as_bytes(), 0, b'&').is_none() {
         return Cow::Borrowed(s);
@@ -559,64 +524,6 @@ pub fn decode_entities_cow(s: &str) -> Cow<'_, str> {
     }
     out.push_str(rest);
     Cow::Owned(out)
-}
-
-/// A malformed entity reference found by [`decode_entities_strict`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EntityError {
-    /// Byte offset of the offending `&` within the decoded slice.
-    pub offset: usize,
-    /// Description.
-    pub message: String,
-}
-
-/// Strict variant of [`decode_entities_cow`]: every `&` must begin a
-/// well-formed reference — terminated by `;`, naming a predefined entity
-/// or a numeric character reference that decodes to a scalar value (no
-/// surrogates, nothing past U+10FFFF).
-pub fn decode_entities_strict(s: &str) -> Result<Cow<'_, str>, EntityError> {
-    if scan::next_byte(s.as_bytes(), 0, b'&').is_none() {
-        return Ok(Cow::Borrowed(s));
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    let mut consumed = 0usize;
-    while let Some(amp) = scan::next_byte(rest.as_bytes(), 0, b'&') {
-        out.push_str(&rest[..amp]);
-        let at = consumed + amp;
-        rest = &rest[amp..];
-        let semi = match nearby_semicolon(rest) {
-            Some(semi) => semi,
-            None => {
-                return Err(EntityError {
-                    offset: at,
-                    message: format!(
-                        "unterminated entity reference {:?}",
-                        &rest[..rest.len().min(8)]
-                    ),
-                });
-            }
-        };
-        let entity = &rest[1..semi];
-        match resolve_entity(entity) {
-            Some(c) => out.push(c),
-            None => {
-                let what = if entity.starts_with('#') {
-                    "invalid character reference"
-                } else {
-                    "unknown entity"
-                };
-                return Err(EntityError {
-                    offset: at,
-                    message: format!("{what} &{entity};"),
-                });
-            }
-        }
-        consumed = at + semi + 1;
-        rest = &rest[semi + 1..];
-    }
-    out.push_str(rest);
-    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -709,18 +616,18 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         for text in ["a < b & c > d", "\"quoted\" & 'apos'", "plain", "ü ≤ €"] {
-            assert_eq!(decode_entities(&encode_entities(text)), text);
+            assert_eq!(decode_entities_cow(&encode_entities(text)), text);
         }
     }
 
     #[test]
     fn entity_decoding() {
         assert_eq!(
-            decode_entities("a &lt; b &gt; c &amp; &quot;d&quot;"),
+            decode_entities_cow("a &lt; b &gt; c &amp; &quot;d&quot;"),
             "a < b > c & \"d\""
         );
-        assert_eq!(decode_entities("&#65;&#x42;"), "AB");
-        assert_eq!(decode_entities("&unknown; & bare"), "&unknown; & bare");
+        assert_eq!(decode_entities_cow("&#65;&#x42;"), "AB");
+        assert_eq!(decode_entities_cow("&unknown; & bare"), "&unknown; & bare");
     }
 
     #[test]
@@ -730,34 +637,6 @@ mod tests {
             Cow::Borrowed(_)
         ));
         assert!(matches!(decode_entities_cow("a &amp; b"), Cow::Owned(_)));
-    }
-
-    #[test]
-    fn strict_decoding_rejects_malformed_references() {
-        assert_eq!(decode_entities_strict("a &lt; b").unwrap(), "a < b");
-        for (input, needle) in [
-            ("&#xZZ;", "invalid character reference"),
-            ("bad &amp tail", "unterminated entity reference"),
-            ("&#xD800;", "invalid character reference"),
-            ("&#1114112;", "invalid character reference"),
-            ("&nbsp;", "unknown entity"),
-        ] {
-            let err = decode_entities_strict(input).unwrap_err();
-            assert!(err.message.contains(needle), "{input:?} → {err:?}");
-        }
-        // The error points at the ampersand.
-        assert_eq!(decode_entities_strict("ab&#xZZ;").unwrap_err().offset, 2);
-    }
-
-    #[test]
-    fn strict_parser_positions_malformed_entities() {
-        let err = XmlPullParser::new_strict("<a>\n  bad &#xZZ; ref</a>")
-            .collect_events()
-            .unwrap_err();
-        assert_eq!((err.line, err.column), (2, 7), "{err}");
-        // The lenient default passes the same reference through.
-        let evs = events("<a>\n  bad &#xZZ; ref</a>");
-        assert!(matches!(&evs[1], XmlEvent::Text(t) if t.contains("&#xZZ;")));
     }
 
     #[test]

@@ -86,28 +86,6 @@ pub fn next_byte2(hay: &[u8], from: usize, a: u8, b: u8) -> Option<usize> {
         .map(|p| i + p)
 }
 
-/// Position of the first `a`, `b`, *or* `c` at or after `from`, or `None`.
-#[inline]
-pub fn next_byte3(hay: &[u8], from: usize, a: u8, b: u8, c: u8) -> Option<usize> {
-    let start = from.min(hay.len());
-    let (ta, tb, tc) = (broadcast(a), broadcast(b), broadcast(c));
-    let mut i = start;
-    let mut chunks = hay[start..].chunks_exact(8);
-    for chunk in &mut chunks {
-        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let m = zero_bytes(w ^ ta) | zero_bytes(w ^ tb) | zero_bytes(w ^ tc);
-        if m != 0 {
-            return Some(i + mask_offset(m));
-        }
-        i += 8;
-    }
-    chunks
-        .remainder()
-        .iter()
-        .position(|&x| x == a || x == b || x == c)
-        .map(|p| i + p)
-}
-
 /// Position of the first occurrence of `needle` (a short literal like
 /// `-->` or `]]>`) at or after `from`. Skips between candidates with the
 /// SWAR single-byte scan on the needle's first byte, then verifies the
@@ -171,7 +149,6 @@ mod tests {
         assert_eq!(next_byte(b"abcdefghij", 0, b'<'), None);
         assert_eq!(next_byte(b"abc", 99, b'a'), None);
         assert_eq!(next_byte2(b"", 0, b'<', b'&'), None);
-        assert_eq!(next_byte3(b"abc", 3, b'a', b'b', b'c'), None);
     }
 
     #[test]
@@ -220,15 +197,10 @@ mod tests {
             hay in prop::collection::vec(0u8..=255, 0..80),
             a in 0u8..=255,
             b in 0u8..=255,
-            c in 0u8..=255,
         ) {
             for from in 0..=hay.len() + 1 {
                 assert_eq!(next_byte(&hay, from, a), naive(&hay, from, &[a]));
                 assert_eq!(next_byte2(&hay, from, a, b), naive(&hay, from, &[a, b]));
-                assert_eq!(
-                    next_byte3(&hay, from, a, b, c),
-                    naive(&hay, from, &[a, b, c])
-                );
             }
         }
 
