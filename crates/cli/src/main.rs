@@ -15,12 +15,13 @@
 //! and `-v`/`--verbose`; see the README's Observability section.
 
 use dtdinfer_engine::pool::{ingest_source, Ingest};
+use dtdinfer_engine::snapshot;
 use dtdinfer_engine::source::PathSource;
-use dtdinfer_engine::{snapshot, EngineState};
 use dtdinfer_regex::alphabet::{Alphabet, Word};
 use dtdinfer_regex::multiset::WordBag;
 use dtdinfer_xml::dtd::Dtd;
-use dtdinfer_xml::infer::{learn_model, ElementReport, InferenceEngine};
+use dtdinfer_xml::extract::Corpus;
+use dtdinfer_xml::infer::{infer_dtd_with_stats, learn_model, ElementReport, InferenceEngine};
 use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
 use std::io::Read;
 use std::process::ExitCode;
@@ -522,9 +523,27 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         }
         return obs.finish();
     }
-    let ingested = stream_ingest(EngineState::new(), &files, jobs.unwrap_or(1), &obs)?;
-    let (dtd, reports) = ingested.state.derive(engine);
-    if obs.verbose {
+    let ingested = stream_ingest(Corpus::new(), &files, jobs.unwrap_or(1), &obs)?;
+    let xsd = xsd.then_some(XsdOptions {
+        numeric_threshold: numeric,
+    });
+    print_schema(&ingested.state, engine, xsd, obs.verbose);
+    obs.finish()
+}
+
+/// Derives the schema of `state` inside the `engine.derive` span that
+/// `--metrics`, `--trace` and `profile` report.
+fn derive(state: &Corpus, engine: InferenceEngine) -> (Dtd, Vec<ElementReport>) {
+    let _span = dtdinfer_obs::span("engine.derive");
+    infer_dtd_with_stats(state, engine)
+}
+
+/// Derives the schema of `state` and prints it: the DTD, or with `xsd`
+/// the XSD, whose datatypes and numeric bounds come from the same corpus.
+/// With `verbose`, each element's derivation goes to stderr first.
+fn print_schema(state: &Corpus, engine: InferenceEngine, xsd: Option<XsdOptions>, verbose: bool) {
+    let (dtd, reports) = derive(state, engine);
+    if verbose {
         for r in &reports {
             eprintln!(
                 "dtdinfer: element {} engine={} words={} repairs={} in {}",
@@ -536,23 +555,10 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    if xsd {
-        // The engine keeps the counted child-sequence multisets that
-        // numeric tightening reads.
-        print!(
-            "{}",
-            generate_xsd(
-                &dtd,
-                Some(&ingested.state.corpus),
-                XsdOptions {
-                    numeric_threshold: numeric,
-                }
-            )
-        );
-    } else {
-        print!("{}", dtd.serialize());
+    match xsd {
+        Some(options) => print!("{}", generate_xsd(&dtd, Some(state), options)),
+        None => print!("{}", dtd.serialize()),
     }
-    obs.finish()
 }
 
 fn parse_jobs(value: Option<&String>) -> Result<usize, String> {
@@ -571,7 +577,7 @@ fn parse_jobs(value: Option<&String>) -> Result<usize, String> {
 /// before a worker claims it and peak memory is O(jobs · max document).
 /// Errors carry the file name straight from the source.
 fn stream_ingest(
-    base: EngineState,
+    base: Corpus,
     files: &[String],
     jobs: usize,
     obs: &ObsOptions,
@@ -628,8 +634,8 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         return Err("no input files".to_owned());
     }
     obs.activate()?;
-    let ingested = stream_ingest(EngineState::new(), &files, jobs.unwrap_or(1), &obs)?;
-    let (_, reports) = ingested.state.derive(engine);
+    let ingested = stream_ingest(Corpus::new(), &files, jobs.unwrap_or(1), &obs)?;
+    let (_, reports) = derive(&ingested.state, engine);
     print_stats(ingested.state.num_documents, &reports);
     if jobs.is_some() {
         print_shards(&ingested);
@@ -740,20 +746,26 @@ fn cmd_snapshot_save(args: &[String]) -> Result<(), String> {
         return Err("no input files".to_owned());
     }
     obs.activate()?;
-    let ingested = stream_ingest(EngineState::new(), &files, jobs, &obs)?;
-    let text = snapshot::save(&ingested.state);
-    std::fs::write(&out, &text).map_err(|e| format!("{out}: {e}"))?;
-    println!(
-        "{out}: {} document(s), {} element(s), {} bytes",
-        ingested.state.num_documents,
-        ingested.state.elements.len(),
-        text.len()
-    );
+    let ingested = stream_ingest(Corpus::new(), &files, jobs, &obs)?;
+    save_snapshot(&ingested.state, &out)?;
     obs.finish()
 }
 
+/// Writes `state` to the snapshot file `path` and reports its size.
+fn save_snapshot(state: &Corpus, path: &str) -> Result<(), String> {
+    let text = snapshot::save(state);
+    std::fs::write(path, &text).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "{path}: {} document(s), {} element(s), {} bytes",
+        state.num_documents,
+        state.elements.len(),
+        text.len()
+    );
+    Ok(())
+}
+
 /// Reads and parses a snapshot file.
-fn read_snapshot(path: &str) -> Result<EngineState, String> {
+fn read_snapshot(path: &str) -> Result<Corpus, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     snapshot::load(&text).map_err(|e| format!("{path}: {e}"))
 }
@@ -785,21 +797,7 @@ fn cmd_snapshot_load(args: &[String]) -> Result<(), String> {
     };
     obs.activate()?;
     let state = read_snapshot(path)?;
-    let (dtd, _) = state.derive(engine);
-    if xsd {
-        print!(
-            "{}",
-            generate_xsd(
-                &dtd,
-                Some(&state.corpus),
-                XsdOptions {
-                    numeric_threshold: None,
-                }
-            )
-        );
-    } else {
-        print!("{}", dtd.serialize());
-    }
+    print_schema(&state, engine, xsd.then(XsdOptions::default), false);
     obs.finish()
 }
 
@@ -829,14 +827,7 @@ fn cmd_snapshot_update(args: &[String]) -> Result<(), String> {
     obs.activate()?;
     let base = read_snapshot(snap)?;
     let ingested = stream_ingest(base, files, jobs, &obs)?;
-    let text = snapshot::save(&ingested.state);
-    std::fs::write(snap, &text).map_err(|e| format!("{snap}: {e}"))?;
-    println!(
-        "{snap}: {} document(s), {} element(s), {} bytes",
-        ingested.state.num_documents,
-        ingested.state.elements.len(),
-        text.len()
-    );
+    save_snapshot(&ingested.state, snap)?;
     obs.finish()
 }
 
@@ -1131,10 +1122,10 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     dtdinfer_obs::reset();
     dtdinfer_obs::alloc::enable();
     let quiet = ObsOptions::default();
-    let ingested = stream_ingest(EngineState::new(), &files, jobs, &quiet)?;
+    let ingested = stream_ingest(Corpus::new(), &files, jobs, &quiet)?;
     let (_, mut reports) = {
         let _span = dtdinfer_obs::span("derive");
-        ingested.state.derive(engine)
+        derive(&ingested.state, engine)
     };
     let alloc = dtdinfer_obs::alloc::stats();
     let trace = dtdinfer_obs::take_trace();

@@ -109,6 +109,25 @@ fn snapshot_save_update_load_equals_one_shot() {
 }
 
 #[test]
+fn snapshot_save_decodes_character_references_of_any_length() {
+    let dir = scratch("charref");
+    let doc = dir.join("doc.xml");
+    std::fs::write(
+        &doc,
+        r#"<r a="&#0000000000065;" b="&#65;" c="x&#0;y">t</r>"#,
+    )
+    .unwrap();
+    let snap = dir.join("refs.snap");
+    let snap = snap.to_str().unwrap();
+    run(&["snapshot", "save", "--out", snap, doc.to_str().unwrap()]);
+    let text = std::fs::read_to_string(snap).unwrap();
+    let rows: Vec<&str> = text.lines().filter(|l| l.starts_with("av ")).collect();
+    // A reference to NUL is not an XML character: it stays literal, so no
+    // NUL byte reaches the snapshot.
+    assert_eq!(rows, ["av a A 1", "av b A 1", "av c x&#0;y 1"]);
+}
+
+#[test]
 fn corrupted_and_future_snapshots_are_rejected() {
     let dir = scratch("reject");
     let bad = dir.join("bad.snap");

@@ -92,18 +92,10 @@ impl Marker {
     }
 }
 
-/// Erases marks from a regex learned over the marked alphabet, rebuilding
-/// through the smart constructors so structural invariants (flattening,
-/// no 1-ary nodes) hold on the result.
+/// Erases marks from a regex learned over the marked alphabet; the smart
+/// constructors keep the result flattened, with no 1-ary nodes.
 fn unmark_regex(r: &Regex) -> Regex {
-    match r {
-        Regex::Symbol(m) => Regex::Symbol(unmark_sym(*m).0),
-        Regex::Concat(v) => Regex::concat(v.iter().map(unmark_regex).collect()),
-        Regex::Union(v) => Regex::union(v.iter().map(unmark_regex).collect()),
-        Regex::Optional(b) => Regex::optional(unmark_regex(b)),
-        Regex::Plus(b) => Regex::plus(unmark_regex(b)),
-        Regex::Star(b) => Regex::star(unmark_regex(b)),
-    }
+    r.map_symbols(|m| unmark_sym(m).0)
 }
 
 /// The k-ORE's `k = 1` candidate, given the element's SORE (iDTD over

@@ -37,7 +37,8 @@
 //! * A missing or foreign header fails closed; a zero-byte file (crash
 //!   between create and header write) counts as an empty journal.
 
-use crate::{snapshot, EngineState};
+use crate::snapshot;
+use dtdinfer_xml::extract::Corpus;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
@@ -211,8 +212,8 @@ fn parse_header(header: &str) -> Result<u64, String> {
 /// The result of [`Store::recover`].
 #[derive(Debug)]
 pub struct Recovered {
-    /// The recovered engine state: snapshot plus replayed journal.
-    pub state: EngineState,
+    /// The recovered corpus: snapshot plus replayed journal.
+    pub state: Corpus,
     /// Journal records re-absorbed on top of the snapshot.
     pub replayed: u64,
     /// Journal records skipped because the snapshot already held them
@@ -295,7 +296,7 @@ impl Store {
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 self.snapshot_bytes = 0;
-                EngineState::new()
+                Corpus::new()
             }
             Err(e) => return Err(format!("{}: {e}", self.snap_path.display())),
         };
@@ -335,13 +336,15 @@ impl Store {
         }
         let mut replayed = 0u64;
         for (i, doc) in parsed.records.iter().enumerate().skip(skip) {
-            state.absorb_document(doc).map_err(|e| {
+            state.add_document(doc).map_err(|e| {
+                dtdinfer_obs::count("engine.parse_errors", 1);
                 format!(
                     "{}: replay of record {} failed: {e}",
                     self.journal_path.display(),
                     i + 1
                 )
             })?;
+            dtdinfer_obs::count("engine.documents", 1);
             replayed += 1;
         }
         if parsed.torn_tail {
@@ -417,7 +420,7 @@ impl Store {
     /// old snapshot + full journal still recover; between rename and
     /// journal reset the new snapshot covers every journal record, so
     /// recovery skips them all.
-    pub fn compact(&mut self, state: &EngineState) -> Result<(), String> {
+    pub fn compact(&mut self, state: &Corpus) -> Result<(), String> {
         let text = snapshot::save(state);
         let tmp = self.snap_path.with_extension("snap.tmp");
         std::fs::write(&tmp, &text).map_err(|e| format!("{}: {e}", tmp.display()))?;
@@ -554,10 +557,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut store = Store::new(&dir, "t1");
         store.remove().unwrap();
-        let mut state = EngineState::new();
+        let mut state = Corpus::new();
         for doc in ["<r><a/></r>", "<r><a/><b/></r>", "<r><b/></r>"] {
             store.append(doc, state.num_documents).unwrap();
-            state.absorb_document(doc).unwrap();
+            state.add_document(doc).unwrap();
         }
         let mut fresh = Store::new(&dir, "t1");
         let recovered = fresh.recover().unwrap();
@@ -575,10 +578,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut store = Store::new(&dir, "w");
         store.remove().unwrap();
-        let mut state = EngineState::new();
+        let mut state = Corpus::new();
         for doc in ["<r><a/></r>", "<r><b/></r>"] {
             store.append(doc, state.num_documents).unwrap();
-            state.absorb_document(doc).unwrap();
+            state.add_document(doc).unwrap();
         }
         // Simulate the crash window: snapshot written and renamed, journal
         // NOT yet reset. Recovery must skip both journal records.
@@ -614,9 +617,9 @@ mod tests {
         ];
         // Compact after two documents: the base snapshot is v3 (counted
         // multiset rows included), then journal two more on top.
-        let mut state = EngineState::new();
+        let mut state = Corpus::new();
         for doc in &docs[..2] {
-            state.absorb_document(doc).unwrap();
+            state.add_document(doc).unwrap();
         }
         store.compact(&state).unwrap();
         let snap = std::fs::read_to_string(store.snapshot_path()).unwrap();
@@ -624,13 +627,13 @@ mod tests {
         assert!(snap.contains("\nw "), "v3 base carries multiset rows");
         for doc in &docs[2..] {
             store.append(doc, state.num_documents).unwrap();
-            state.absorb_document(doc).unwrap();
+            state.add_document(doc).unwrap();
         }
         let recovered = Store::new(&dir, "v3").recover().unwrap();
         assert_eq!(recovered.replayed, 2);
-        let mut one_shot = EngineState::new();
+        let mut one_shot = Corpus::new();
         for doc in &docs {
-            one_shot.absorb_document(doc).unwrap();
+            one_shot.add_document(doc).unwrap();
         }
         // Snapshot equality covers the multisets too: replayed documents
         // extended the bags the v3 base carried.

@@ -2,12 +2,12 @@
 //!
 //! Every job count runs one worker loop (`std::thread::scope` + an atomic
 //! work queue, no external dependencies): the calling thread is shard 0
-//! and folds its documents straight into the base state, and `jobs − 1`
-//! scoped helpers each fold theirs into a fresh [`EngineState`]. A worker
+//! and folds its documents straight into the base corpus, and `jobs − 1`
+//! scoped helpers each fold theirs into a fresh [`Corpus`]. A worker
 //! claims document indices off a shared counter in adaptive chunks, loads
 //! each document itself from a [`DocSource`] (a reused per-worker buffer
 //! — at most one document resident per worker), absorbs it and drops it,
-//! and stops at its own first failing document. The helpers' states are
+//! and stops at its own first failing document. The helpers' corpora are
 //! then merged into the base in shard order. Which document lands on
 //! which shard is scheduling-dependent, but every per-element summary is
 //! a commutative union of per-word contributions and derivation
@@ -20,7 +20,8 @@
 //! the tail still balances one document at a time.
 
 use crate::source::{DocSource, MemSource};
-use crate::{EngineState, ParseArena};
+use crate::ParseArena;
+use dtdinfer_xml::extract::Corpus;
 use dtdinfer_xml::parser::XmlError;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -69,11 +70,11 @@ impl ShardReport {
 /// Result of a (possibly parallel) ingestion run.
 #[derive(Debug, Clone)]
 pub struct Ingest {
-    /// The merged engine state.
-    pub state: EngineState,
+    /// The merged corpus: the base plus every ingested document.
+    pub state: Corpus,
     /// Per-shard accounting, in shard order.
     pub shards: Vec<ShardReport>,
-    /// Wall-clock time spent merging the helpers' states into the base
+    /// Wall-clock time spent merging the helpers' corpora into the base
     /// (0 for one job, which merges nothing).
     pub merge_ns: u64,
     /// Peak bytes of document text resident across all workers at any
@@ -174,9 +175,9 @@ fn chunk_size(total: usize, claimed: usize, jobs: usize) -> usize {
     (remaining / (jobs * 8)).clamp(1, 32)
 }
 
-/// Ingests in-memory `docs` into a fresh state with `jobs` workers.
+/// Ingests in-memory `docs` into a fresh corpus with `jobs` workers.
 pub fn ingest<D: AsRef<str> + Sync>(docs: &[D], jobs: usize) -> Result<Ingest, IngestError> {
-    ingest_source(EngineState::new(), &MemSource::new(docs), jobs)
+    ingest_source(Corpus::new(), &MemSource::new(docs), jobs)
 }
 
 /// What every shard shares: the documents, the claim counter and the
@@ -191,12 +192,12 @@ struct Queue<'a, S> {
 
 /// Ingests every document of `source` into `base` with `jobs` workers.
 /// The calling thread is shard 0 and folds its documents straight into
-/// `base`; `jobs − 1` scoped helpers fold theirs into fresh states that
+/// `base`; `jobs − 1` scoped helpers fold theirs into fresh corpora that
 /// are merged in afterwards, so one job spawns no thread and merges
 /// nothing. Workers pull indices and load documents themselves, so peak
 /// memory is O(jobs · max document size) regardless of corpus size.
 pub fn ingest_source<S: DocSource>(
-    base: EngineState,
+    base: Corpus,
     source: &S,
     jobs: usize,
 ) -> Result<Ingest, IngestError> {
@@ -215,7 +216,7 @@ pub fn ingest_source<S: DocSource>(
         let handles: Vec<_> = (1..queue.jobs)
             .map(|shard| {
                 scope.spawn(move || {
-                    let mut local = EngineState::new();
+                    let mut local = Corpus::new();
                     let (report, failure) = run_shard(shard, &mut local, queue);
                     (local, report, failure)
                 })
@@ -267,7 +268,7 @@ pub fn ingest_source<S: DocSource>(
 /// that first failure.
 fn run_shard<S: DocSource>(
     shard: usize,
-    state: &mut EngineState,
+    state: &mut Corpus,
     queue: &Queue<S>,
 ) -> (ShardReport, Option<IngestError>) {
     // Helpers open the span on their own thread, so traces carry one
@@ -316,10 +317,11 @@ fn run_shard<S: DocSource>(
 }
 
 /// Loads document `i` and folds it into `state`, reusing the worker's
-/// `buf` and `arena` scratch and tracking residency. Returns the
-/// document's size in bytes.
+/// `buf` and `arena` scratch and tracking residency, and counts it in
+/// `engine.documents` or `engine.parse_errors`. Returns the document's
+/// size in bytes.
 fn absorb_one<S: DocSource>(
-    state: &mut EngineState,
+    state: &mut Corpus,
     queue: &Queue<S>,
     i: usize,
     buf: &mut String,
@@ -345,9 +347,13 @@ fn absorb_one<S: DocSource>(
         .map_err(|m| fail(IngestFailure::Read(m)))?;
     let len = doc.len() as u64;
     queue.in_flight.enter(len);
-    let absorbed = state.absorb_document_with(doc, arena);
+    let absorbed = state.add_document_with(doc, arena);
     queue.in_flight.exit(len);
-    absorbed.map_err(|e| fail(IngestFailure::Parse(e)))?;
+    absorbed.map_err(|e| {
+        dtdinfer_obs::count("engine.parse_errors", 1);
+        fail(IngestFailure::Parse(e))
+    })?;
+    dtdinfer_obs::count("engine.documents", 1);
     Ok(len)
 }
 
@@ -408,7 +414,7 @@ fn elapsed_ns(started: Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::source::PathSource;
-    use dtdinfer_xml::infer::InferenceEngine;
+    use dtdinfer_xml::infer::{infer_dtd, InferenceEngine};
 
     fn docs(n: usize) -> Vec<String> {
         (0..n)
@@ -426,13 +432,13 @@ mod tests {
     fn sharded_equals_sequential_for_all_job_counts() {
         let docs = docs(53);
         let sequential = ingest(&docs, 1).unwrap();
-        let baseline = sequential.state.derive(InferenceEngine::Idtd).0.serialize();
+        let baseline = infer_dtd(&sequential.state, InferenceEngine::Idtd).serialize();
         for jobs in [2, 3, 4, 8] {
             let sharded = ingest(&docs, jobs).unwrap();
             assert_eq!(sharded.state.num_documents, docs.len() as u64);
             assert_eq!(sharded.shards.len(), jobs.min(docs.len()));
             assert_eq!(
-                sharded.state.derive(InferenceEngine::Idtd).0.serialize(),
+                infer_dtd(&sharded.state, InferenceEngine::Idtd).serialize(),
                 baseline,
                 "jobs {jobs}"
             );
@@ -472,7 +478,7 @@ mod tests {
         std::fs::write(&bad, "<r><broken></r>").unwrap();
         for jobs in [1, 2] {
             let source = PathSource::new(vec![good.clone(), bad.clone(), good.clone()]);
-            let err = ingest_source(EngineState::new(), &source, jobs).unwrap_err();
+            let err = ingest_source(Corpus::new(), &source, jobs).unwrap_err();
             assert_eq!(err.doc_index, 1, "jobs {jobs}");
             assert_eq!(err.source.as_deref(), Some(&*bad.display().to_string()));
             assert!(err.to_string().contains("bad.xml"), "{err}");
@@ -480,7 +486,7 @@ mod tests {
             assert!(!err.to_string().starts_with("document 1"), "{err}");
 
             let source = PathSource::new(vec![good.clone(), dir.join("absent.xml")]);
-            let err = ingest_source(EngineState::new(), &source, jobs).unwrap_err();
+            let err = ingest_source(Corpus::new(), &source, jobs).unwrap_err();
             assert!(matches!(err.error, IngestFailure::Read(_)), "{err}");
             assert!(err.to_string().contains("absent.xml"), "{err}");
         }
@@ -502,10 +508,10 @@ mod tests {
             })
             .collect();
         let memory = ingest(&docs, 4).unwrap();
-        let streamed = ingest_source(EngineState::new(), &PathSource::new(paths), 4).unwrap();
+        let streamed = ingest_source(Corpus::new(), &PathSource::new(paths), 4).unwrap();
         assert_eq!(
-            streamed.state.derive(InferenceEngine::Idtd).0.serialize(),
-            memory.state.derive(InferenceEngine::Idtd).0.serialize()
+            infer_dtd(&streamed.state, InferenceEngine::Idtd).serialize(),
+            infer_dtd(&memory.state, InferenceEngine::Idtd).serialize()
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -588,8 +594,8 @@ mod tests {
             let resumed = ingest_source(first.state, &MemSource::new(&docs[12..]), jobs).unwrap();
             for engine in [InferenceEngine::Crx, InferenceEngine::Idtd] {
                 assert_eq!(
-                    resumed.state.derive(engine).0.serialize(),
-                    one_shot.state.derive(engine).0.serialize(),
+                    infer_dtd(&resumed.state, engine).serialize(),
+                    infer_dtd(&one_shot.state, engine).serialize(),
                     "{engine:?} jobs {jobs}"
                 );
             }

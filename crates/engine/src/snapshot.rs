@@ -1,5 +1,5 @@
-//! Versioned engine snapshots: persist an [`EngineState`] and warm-start a
-//! later run from it.
+//! Versioned engine snapshots: persist the engine's [`Corpus`] and
+//! warm-start a later run from it.
 //!
 //! The format is line-oriented text holding exactly the engine's state:
 //! per element, the occurrence count, the value reservoirs and the counted
@@ -53,10 +53,9 @@
 //! same rows: [`save_words`] writes a [`WORDS_HEADER`] line, one `name`
 //! line per symbol in symbol order, and the `w` rows.
 
-use crate::EngineState;
 use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
 use dtdinfer_regex::multiset::WordBag;
-use dtdinfer_xml::extract::ElementFacts;
+use dtdinfer_xml::extract::{Corpus, ElementFacts};
 use dtdinfer_xml::samples::{SampleBag, DEFAULT_SAMPLE_CAP};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -101,7 +100,7 @@ fn write_bag(out: &mut String, kind: &str, prefix: &str, bag: &SampleBag) {
 /// reservoirs are canonical by construction), so snapshots of the same
 /// document multiset are byte-identical regardless of ingestion order or
 /// sharding.
-pub fn save(state: &EngineState) -> String {
+pub fn save(state: &Corpus) -> String {
     let state = state.canonicalized();
     let mut out = String::from(HEADER);
     out.push('\n');
@@ -220,7 +219,7 @@ struct Section {
 /// checked against the `w` rows). Rejects v2 files, v3/v4 files whose `w`
 /// rows do not cover every child sequence, missing headers, other
 /// versions, and malformed records with a descriptive error.
-pub fn load(text: &str) -> Result<EngineState, String> {
+pub fn load(text: &str) -> Result<Corpus, String> {
     let legacy = match text.lines().next().map(str::trim) {
         Some(HEADER) => false,
         Some(V4_HEADER | V3_HEADER) => true,
@@ -241,9 +240,9 @@ pub fn load(text: &str) -> Result<EngineState, String> {
             ));
         }
     };
-    let mut state = EngineState::new();
+    let mut state = Corpus::new();
     let mut current: Option<Section> = None;
-    let flush = |state: &mut EngineState, current: &mut Option<Section>| -> Result<(), String> {
+    let flush = |state: &mut Corpus, current: &mut Option<Section>| -> Result<(), String> {
         if let Some(section) = current.take() {
             let Section {
                 sym,
@@ -253,7 +252,7 @@ pub fn load(text: &str) -> Result<EngineState, String> {
                 words,
                 learned,
             } = section;
-            let name = |state: &EngineState| state.alphabet.name(sym).to_owned();
+            let name = |state: &Corpus| state.alphabet.name(sym).to_owned();
             // Rows were validated (non-zero counts, well-formed) as they
             // were read; rebuilding through `insert_n` re-canonicalizes
             // under this load's interning order, and a distinct-count
@@ -542,7 +541,7 @@ mod tests {
     use super::*;
     use crate::pool::{ingest, ingest_source};
     use crate::source::MemSource;
-    use dtdinfer_xml::infer::InferenceEngine;
+    use dtdinfer_xml::infer::{infer_dtd, InferenceEngine};
 
     fn docs() -> Vec<String> {
         let mut docs = vec![
@@ -572,8 +571,8 @@ mod tests {
             InferenceEngine::Auto,
         ] {
             assert_eq!(
-                restored.derive(engine).0.serialize(),
-                state.derive(engine).0.serialize(),
+                infer_dtd(&restored, engine).serialize(),
+                infer_dtd(&state, engine).serialize(),
                 "{engine:?}"
             );
         }
@@ -590,8 +589,8 @@ mod tests {
                 .state;
             for engine in [InferenceEngine::Idtd, InferenceEngine::Kore] {
                 assert_eq!(
-                    resumed.derive(engine).0.serialize(),
-                    one_shot.derive(engine).0.serialize(),
+                    infer_dtd(&resumed, engine).serialize(),
+                    infer_dtd(&one_shot, engine).serialize(),
                     "{engine:?} jobs {jobs}"
                 );
             }
@@ -628,8 +627,8 @@ mod tests {
     /// writer saved it, learner rows included.
     const BOOKS_V4: &str = include_str!("../../../testdata/snapshots/books.v4.snap");
 
-    /// A fresh engine state over `testdata/books`.
-    fn books_state() -> EngineState {
+    /// A fresh corpus over `testdata/books`.
+    fn books_state() -> Corpus {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../testdata/books");
         let mut paths: Vec<_> = std::fs::read_dir(dir)
             .unwrap()
@@ -681,8 +680,8 @@ mod tests {
                 InferenceEngine::Auto,
             ] {
                 assert_eq!(
-                    loaded.derive(engine).0.serialize(),
-                    state.derive(engine).0.serialize(),
+                    infer_dtd(&loaded, engine).serialize(),
+                    infer_dtd(&state, engine).serialize(),
                     "{engine:?}"
                 );
             }

@@ -9,7 +9,8 @@
 //! * compaction is idempotent and crash-safe in both of its windows.
 
 use dtdinfer_engine::journal::{encode_record, Store, JOURNAL_MAGIC};
-use dtdinfer_engine::{snapshot, EngineState};
+use dtdinfer_engine::snapshot;
+use dtdinfer_xml::extract::Corpus;
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -38,18 +39,18 @@ fn replay_over_snapshot_matches_cold_reingest_bytes() {
     let docs = corpus(24);
     let mut store = Store::new(&dir, "s");
     store.remove().unwrap();
-    let mut live = EngineState::new();
+    let mut live = Corpus::new();
     for (i, doc) in docs.iter().enumerate() {
         store.append(doc, live.num_documents).unwrap();
-        live.absorb_document(doc).unwrap();
+        live.add_document(doc).unwrap();
         if i % 7 == 6 {
             store.compact(&live).unwrap();
         }
     }
     let recovered = Store::new(&dir, "s").recover().unwrap().state;
-    let mut cold = EngineState::new();
+    let mut cold = Corpus::new();
     for doc in &docs {
-        cold.absorb_document(doc).unwrap();
+        cold.add_document(doc).unwrap();
     }
     let cold_bytes = snapshot::save(&cold);
     assert_eq!(snapshot::save(&recovered), cold_bytes);
@@ -66,10 +67,10 @@ fn truncated_tail_is_tolerated_and_repaired_on_disk() {
     let docs = corpus(5);
     let mut store = Store::new(&dir, "t");
     store.remove().unwrap();
-    let mut state = EngineState::new();
+    let mut state = Corpus::new();
     for doc in &docs {
         store.append(doc, state.num_documents).unwrap();
-        state.absorb_document(doc).unwrap();
+        state.add_document(doc).unwrap();
     }
     // Tear the file: keep the header + first record + half of a record.
     let journal_path = store.journal_path().to_owned();
@@ -89,9 +90,9 @@ fn truncated_tail_is_tolerated_and_repaired_on_disk() {
         .append(&docs[docs.len() - 1], recovered.state.num_documents)
         .unwrap();
     let full = Store::new(&dir, "t").recover().unwrap().state;
-    let mut cold = EngineState::new();
+    let mut cold = Corpus::new();
     for doc in &docs {
-        cold.absorb_document(doc).unwrap();
+        cold.add_document(doc).unwrap();
     }
     assert_eq!(snapshot::save(&full), snapshot::save(&cold));
     fresh.remove().unwrap();
@@ -105,10 +106,10 @@ fn corrupt_middle_record_fails_closed_via_store() {
     let dir = scratch("mid");
     let mut store = Store::new(&dir, "m");
     store.remove().unwrap();
-    let mut state = EngineState::new();
+    let mut state = Corpus::new();
     for doc in corpus(3) {
         store.append(&doc, state.num_documents).unwrap();
-        state.absorb_document(&doc).unwrap();
+        state.add_document(&doc).unwrap();
     }
     let journal_path = store.journal_path().to_owned();
     let mut bytes = std::fs::read(&journal_path).unwrap();
@@ -129,10 +130,10 @@ fn compaction_is_idempotent() {
     let dir = scratch("idem");
     let mut store = Store::new(&dir, "c");
     store.remove().unwrap();
-    let mut state = EngineState::new();
+    let mut state = Corpus::new();
     for doc in corpus(6) {
         store.append(&doc, state.num_documents).unwrap();
-        state.absorb_document(&doc).unwrap();
+        state.add_document(&doc).unwrap();
     }
     store.compact(&state).unwrap();
     let snap1 = std::fs::read(store.snapshot_path()).unwrap();
@@ -159,17 +160,17 @@ fn compaction_crash_window_partial_overlap() {
     let docs = corpus(4);
     let mut store = Store::new(&dir, "w");
     store.remove().unwrap();
-    let mut state = EngineState::new();
+    let mut state = Corpus::new();
     for doc in &docs {
         store.append(doc, state.num_documents).unwrap();
-        state.absorb_document(doc).unwrap();
+        state.add_document(doc).unwrap();
     }
     // Simulate: snapshot covering only the first 2 documents appears
     // (base 0 journal holds all 4) — e.g. an operator restored an older
     // snapshot that the journal still fully covers.
-    let mut half = EngineState::new();
-    half.absorb_document(&docs[0]).unwrap();
-    half.absorb_document(&docs[1]).unwrap();
+    let mut half = Corpus::new();
+    half.add_document(&docs[0]).unwrap();
+    half.add_document(&docs[1]).unwrap();
     std::fs::write(store.snapshot_path(), snapshot::save(&half)).unwrap();
     let recovered = Store::new(&dir, "w").recover().unwrap();
     assert_eq!(recovered.skipped, 2);

@@ -33,7 +33,7 @@ use dtdinfer_regex::display::render_dtd;
 use dtdinfer_xml::diff::{compare_regexes, Relation};
 use dtdinfer_xml::dtd::{ContentSpec, Dtd};
 use dtdinfer_xml::extract::Corpus;
-use dtdinfer_xml::infer::{infer_dtd_with_stats, Derivation, InferenceEngine};
+use dtdinfer_xml::infer::{infer_dtd, infer_dtd_with_stats, Derivation, InferenceEngine};
 use dtdinfer_xml::parser::XmlPullParser;
 use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
 
@@ -399,7 +399,7 @@ pub fn check_case(target: Option<&Dtd>, docs: &[String], opts: &OracleOptions) -
                         (InferenceEngine::Kore, &kore_dtd),
                         (InferenceEngine::Auto, &auto_dtd),
                     ] {
-                        let sharded = ingested.state.derive(engine).0.serialize();
+                        let sharded = infer_dtd(&ingested.state, engine).serialize();
                         if sharded != sequential.serialize() {
                             out.violation(
                                 "identity.shards",
@@ -435,7 +435,7 @@ pub fn check_case(target: Option<&Dtd>, docs: &[String], opts: &OracleOptions) -
                             (InferenceEngine::Kore, &kore_dtd),
                             (InferenceEngine::Auto, &auto_dtd),
                         ] {
-                            let derived = loaded.derive(engine).0.serialize();
+                            let derived = infer_dtd(&loaded, engine).serialize();
                             if derived != sequential.serialize() {
                                 out.violation(
                                     "identity.snapshot",
@@ -577,24 +577,14 @@ pub fn check_case(target: Option<&Dtd>, docs: &[String], opts: &OracleOptions) -
 /// Maps `r` from one alphabet into another by name, without interning:
 /// `None` when some symbol's name is absent from `to`.
 fn remap_regex(r: &Regex, from: &Alphabet, to: &Alphabet) -> Option<Regex> {
-    Some(match r {
-        Regex::Symbol(s) => Regex::Symbol(to.get(from.name(*s))?),
-        Regex::Concat(parts) => Regex::Concat(
-            parts
-                .iter()
-                .map(|p| remap_regex(p, from, to))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        Regex::Union(parts) => Regex::Union(
-            parts
-                .iter()
-                .map(|p| remap_regex(p, from, to))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        Regex::Optional(inner) => Regex::Optional(Box::new(remap_regex(inner, from, to)?)),
-        Regex::Plus(inner) => Regex::Plus(Box::new(remap_regex(inner, from, to)?)),
-        Regex::Star(inner) => Regex::Star(Box::new(remap_regex(inner, from, to)?)),
-    })
+    let mut complete = true;
+    let mapped = r.map_symbols(|s| {
+        to.get(from.name(s)).unwrap_or_else(|| {
+            complete = false;
+            s
+        })
+    });
+    complete.then_some(mapped)
 }
 
 #[cfg(test)]

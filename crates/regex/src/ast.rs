@@ -115,6 +115,23 @@ impl Regex {
         }
     }
 
+    /// The expression with every symbol translated through `f`, rebuilt
+    /// through the smart constructors, so the result is flattened and has
+    /// no 1-ary nodes whatever the input's shape.
+    pub fn map_symbols(&self, mut f: impl FnMut(Sym) -> Sym) -> Regex {
+        fn go(r: &Regex, f: &mut impl FnMut(Sym) -> Sym) -> Regex {
+            match r {
+                Regex::Symbol(s) => Regex::sym(f(*s)),
+                Regex::Concat(v) => Regex::concat(v.iter().map(|p| go(p, f)).collect()),
+                Regex::Union(v) => Regex::union(v.iter().map(|p| go(p, f)).collect()),
+                Regex::Optional(p) => Regex::optional(go(p, f)),
+                Regex::Plus(p) => Regex::plus(go(p, f)),
+                Regex::Star(p) => Regex::star(go(p, f)),
+            }
+        }
+        go(self, &mut f)
+    }
+
     /// All symbols occurring in the expression, in left-to-right order of
     /// first occurrence.
     pub fn symbols(&self) -> Vec<Sym> {
@@ -205,6 +222,37 @@ mod tests {
         // smart constructor of star collapses everything:
         assert_eq!(Regex::star(Regex::plus(s.clone())), Regex::star(s.clone()));
         assert_eq!(Regex::optional(Regex::star(s.clone())), Regex::star(s));
+    }
+
+    #[test]
+    fn map_symbols_translates_through_smart_constructors() {
+        let (a, b, c) = syms();
+        // A raw (a · (b · c)?) keeps its shape and gets new symbols.
+        let raw = Regex::Concat(vec![
+            Regex::sym(a),
+            Regex::Optional(Box::new(Regex::Concat(vec![Regex::sym(b), Regex::sym(c)]))),
+        ]);
+        let swapped = raw.map_symbols(|s| if s == a { c } else { a });
+        assert_eq!(
+            swapped,
+            Regex::concat(vec![
+                Regex::sym(c),
+                Regex::optional(Regex::concat(vec![Regex::sym(a), Regex::sym(a)])),
+            ])
+        );
+        // Nested raw nodes come back flattened and collapsed.
+        let nested = Regex::Union(vec![
+            Regex::Union(vec![Regex::sym(a), Regex::sym(b)]),
+            Regex::Star(Box::new(Regex::Optional(Box::new(Regex::sym(c))))),
+        ]);
+        assert_eq!(
+            nested.map_symbols(|s| s),
+            Regex::Union(vec![
+                Regex::sym(a),
+                Regex::sym(b),
+                Regex::star(Regex::sym(c))
+            ])
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! maintained as data trickles in rather than re-inferred from scratch.
 //! This crate turns that property into a long-lived service. Clients POST
 //! documents into named **schema sessions** — isolated tenants, each a
-//! warm [`EngineState`](dtdinfer_engine::EngineState) — and read back the
+//! warm [`Corpus`](dtdinfer_xml::extract::Corpus) — and read back the
 //! current DTD/XSD, validate documents against it, or subscribe to an SSE
 //! stream of **schema-drift events** (each ingest classified
 //! equal/stricter/looser/incomparable by the DFA-based schema diff).

@@ -1,8 +1,8 @@
 //! One schema session: a named, journaled, warm incremental engine state.
 //!
-//! A session is the daemon's unit of tenancy. Each wraps an
-//! [`EngineState`] (each element's counted child-word multiset, value
-//! reservoirs and occurrence count, no raw corpus) plus a [`Store`]
+//! A session is the daemon's unit of tenancy. Its state is a [`Corpus`],
+//! the engine's one summary per element (the counted child-word multiset,
+//! value reservoirs and occurrence count, no raw documents), plus a [`Store`]
 //! whose snapshot and journal make every acknowledged ingest durable:
 //! the journal record is flushed to the OS *before* the document is
 //! absorbed, so a `kill -9` after the HTTP 200 never loses data. The
@@ -13,10 +13,10 @@
 
 use crate::http;
 use dtdinfer_engine::journal::Store;
-use dtdinfer_engine::EngineState;
 use dtdinfer_obs::json::{write_key, write_string};
 use dtdinfer_xml::diff::{diff, ElementDiff, Relation};
 use dtdinfer_xml::dtd::Dtd;
+use dtdinfer_xml::extract::Corpus;
 use dtdinfer_xml::infer::{Derivation, InferenceEngine};
 use dtdinfer_xml::parser::XmlPullParser;
 use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
@@ -50,7 +50,7 @@ pub fn classify_drift(diffs: &[ElementDiff]) -> &'static str {
 
 /// Checks that `doc` parses end to end *without* touching engine state.
 ///
-/// `EngineState::absorb_document` mutates the state as it streams, so a
+/// `Corpus::add_document` mutates the state as it streams, so a
 /// document that fails mid-parse would leave a half-absorbed poisoned
 /// session. Ingest therefore dry-runs the zero-copy parser first and only
 /// journals + absorbs documents that are known to parse.
@@ -82,8 +82,8 @@ pub struct IngestOutcome {
 pub struct Session {
     /// The session name (validated `[A-Za-z0-9_-]{1,64}`).
     pub name: String,
-    /// The warm incremental engine state.
-    pub state: EngineState,
+    /// The warm engine state.
+    pub state: Corpus,
     /// Snapshot + journal persistence.
     pub store: Store,
     /// The schema derived from `state` by the session's learner, brought
@@ -105,7 +105,7 @@ impl Session {
             let recovered = store.recover()?;
             (recovered.state, recovered.replayed)
         } else {
-            (EngineState::new(), 0)
+            (Corpus::new(), 0)
         };
         Ok((
             Session {
@@ -133,7 +133,7 @@ impl Session {
         self.derivation.update(&self.state);
         generate_xsd(
             self.derivation.dtd(),
-            Some(&self.state.corpus),
+            Some(&self.state),
             XsdOptions {
                 numeric_threshold: None,
             },
@@ -159,9 +159,11 @@ impl Session {
         let before = self.dtd().clone();
         for doc in docs {
             self.store.append(doc, self.state.num_documents)?;
-            self.state
-                .absorb_document(doc)
-                .map_err(|e| format!("absorb failed after parse check: {e}"))?;
+            self.state.add_document(doc).map_err(|e| {
+                dtdinfer_obs::count("engine.parse_errors", 1);
+                format!("absorb failed after parse check: {e}")
+            })?;
+            dtdinfer_obs::count("engine.documents", 1);
         }
         let diffs = diff(&before, self.dtd());
         let relation = classify_drift(&diffs);

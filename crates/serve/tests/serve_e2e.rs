@@ -7,7 +7,8 @@
 //! the copy.
 
 use dtdinfer_serve::{run, ServeConfig};
-use dtdinfer_xml::infer::InferenceEngine;
+use dtdinfer_xml::extract::Corpus;
+use dtdinfer_xml::infer::{infer_dtd, InferenceEngine};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -119,11 +120,11 @@ fn ingest_then_dtd_matches_sequential_inference() {
     let (status, served) = get(&server.addr, "/sessions/cat/dtd");
     assert_eq!(status, 200);
     // The reference: the same corpus through the engine directly.
-    let mut state = dtdinfer_engine::EngineState::new();
+    let mut state = Corpus::new();
     for doc in corpus() {
-        state.absorb_document(&doc).unwrap();
+        state.add_document(&doc).unwrap();
     }
-    let (dtd, _) = state.derive(InferenceEngine::Idtd);
+    let dtd = infer_dtd(&state, InferenceEngine::Idtd);
     assert_eq!(served, dtd.serialize());
     // XSD endpoint renders too.
     let (status, xsd) = get(&server.addr, "/sessions/cat/xsd");
@@ -181,8 +182,8 @@ fn random_ingest_replies_match_cold_derivations() {
     let dir = scratch("random");
     let server = boot(&dir, |c| c.engine = InferenceEngine::Auto);
     let mut rng = Rng(0x5EED_1234_ABCD_0001);
-    let mut state = dtdinfer_engine::EngineState::new();
-    let mut before = state.derive(InferenceEngine::Auto).0;
+    let mut state = Corpus::new();
+    let mut before = infer_dtd(&state, InferenceEngine::Auto);
     for seq in 1..=48u64 {
         let leaves = &LEAVES[..(3 + seq as usize / 8).min(LEAVES.len())];
         let batch: Vec<String> = (0..=rng.below(3))
@@ -195,9 +196,9 @@ fn random_ingest_replies_match_cold_derivations() {
         );
         assert_eq!(status, 200, "{reply}");
         for doc in &batch {
-            state.absorb_document(doc).unwrap();
+            state.add_document(doc).unwrap();
         }
-        let after = state.derive(InferenceEngine::Auto).0;
+        let after = infer_dtd(&state, InferenceEngine::Auto);
         let diffs = diff(&before, &after);
         let outcome = IngestOutcome {
             ingested: batch.len() as u64,
@@ -315,7 +316,7 @@ fn graceful_shutdown_flushes_dirty_sessions() {
     let mut store = dtdinfer_engine::journal::Store::new(&dir, "f");
     let recovered = store.recover().unwrap();
     assert_eq!(recovered.replayed, 0, "journal should be compacted away");
-    let (dtd, _) = recovered.state.derive(InferenceEngine::Idtd);
+    let dtd = infer_dtd(&recovered.state, InferenceEngine::Idtd);
     assert_eq!(dtd.serialize(), before);
     std::fs::remove_dir_all(&dir).ok();
 }

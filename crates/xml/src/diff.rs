@@ -161,8 +161,8 @@ pub fn compare_regexes(ra: &Regex, al_a: &Alphabet, rb: &Regex, al_b: &Alphabet)
         return Relation::Equal;
     }
     let mut common = Alphabet::new();
-    let map_a = remap(ra, al_a, &mut common);
-    let map_b = remap(rb, al_b, &mut common);
+    let map_a = ra.map_symbols(|s| common.intern(al_a.name(s)));
+    let map_b = rb.map_symbols(|s| common.intern(al_b.name(s)));
     let alpha = joint_alphabet(&[&map_a.symbols(), &map_b.symbols()]);
     let da = Dfa::from_regex(&map_a, &alpha);
     let db = Dfa::from_regex(&map_b, &alpha);
@@ -193,18 +193,6 @@ fn same_expression(ra: &Regex, al_a: &Alphabet, rb: &Regex, al_b: &Alphabet) -> 
         | (Regex::Plus(x), Regex::Plus(y))
         | (Regex::Star(x), Regex::Star(y)) => same_expression(x, al_a, y, al_b),
         _ => false,
-    }
-}
-
-/// Rebuilds `r` over `common`, translating symbols by name.
-fn remap(r: &Regex, from: &Alphabet, common: &mut Alphabet) -> Regex {
-    match r {
-        Regex::Symbol(s) => Regex::sym(common.intern(from.name(*s))),
-        Regex::Concat(v) => Regex::concat(v.iter().map(|p| remap(p, from, common)).collect()),
-        Regex::Union(v) => Regex::union(v.iter().map(|p| remap(p, from, common)).collect()),
-        Regex::Optional(p) => Regex::optional(remap(p, from, common)),
-        Regex::Plus(p) => Regex::plus(remap(p, from, common)),
-        Regex::Star(p) => Regex::star(remap(p, from, common)),
     }
 }
 

@@ -5,6 +5,8 @@
 //! the [`Corpus`] accumulates exactly those words, along with the text and
 //! attribute samples needed for the XSD datatype heuristics of §9.
 
+use crate::dtd::Dtd;
+use crate::infer::{infer_dtd_with_stats, ElementReport, InferenceEngine};
 use crate::parser::{XmlError, XmlEvent, XmlPullParser};
 use crate::samples::{SampleBag, SampleTally};
 use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
@@ -13,7 +15,7 @@ use std::collections::BTreeMap;
 use std::ops::{Index, IndexMut};
 
 /// Everything observed about one element name: the per-element summary
-/// of both the corpus path and the sharded engine, whose snapshots persist
+/// that inference reads and the sharded engine's snapshots persist,
 /// exactly these four fields. Every learner is a pure function of `words`,
 /// so no learner state is kept beside it.
 #[derive(Debug, Clone, Default)]
@@ -149,7 +151,9 @@ impl ParseArena {
     }
 }
 
-/// A corpus of XML documents reduced to inference-ready statistics.
+/// A corpus of XML documents reduced to inference-ready statistics. It is
+/// also the sharded engine's whole state: shards fill and merge corpora,
+/// snapshots save and load one, and a serve session keeps one.
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
     /// Interned element names.
@@ -294,6 +298,37 @@ impl Corpus {
         }
     }
 
+    /// Folds another corpus in (a shard's), reconciling the two alphabets
+    /// by element name: word multisets, reservoirs, occurrence and root
+    /// counts add. Commutative up to interning order, which
+    /// [`Corpus::canonicalized`] and every derivation take away, so the
+    /// merged schema does not depend on shard assignment or merge order.
+    pub fn merge(&mut self, other: &Corpus) {
+        let map: Vec<Sym> = other
+            .alphabet
+            .entries()
+            .map(|(_, name)| self.alphabet.intern(name))
+            .collect();
+        let f = |s: Sym| map[s.index()];
+        for (sym, facts) in other.elements.iter() {
+            let into = self.elements.entry(f(sym));
+            into.words.merge(&facts.words.map_symbols(f));
+            into.text_samples.merge(&facts.text_samples);
+            for (attr, values) in &facts.attributes {
+                into.attributes
+                    .entry(attr.clone())
+                    .or_default()
+                    .merge(values);
+            }
+            into.occurrences += facts.occurrences;
+        }
+        for (&root, &count) in &other.roots {
+            *self.roots.entry(f(root)).or_insert(0) += count;
+        }
+        self.num_documents += other.num_documents;
+        dtdinfer_obs::count("engine.merges", 1);
+    }
+
     /// The child-sequence multiset of one element name.
     pub fn sequences_of(&self, name: &str) -> Option<&WordBag> {
         let sym = self.alphabet.get(name)?;
@@ -307,6 +342,40 @@ impl Corpus {
             .values()
             .map(|f| f.words.total() as usize)
             .sum()
+    }
+}
+
+/// The method names of the engine state's former wrapper type, which the
+/// benchmark under `perfbench/` still compiles against (with the
+/// `dtdinfer_engine::EngineState` alias of [`Corpus`]). They go when the
+/// benchmark moves off them, ROADMAP item 4's benchmark change.
+impl Corpus {
+    /// Use [`Corpus::add_document`].
+    #[deprecated(note = "use `Corpus::add_document`")]
+    pub fn absorb_document(&mut self, doc: &str) -> Result<(), XmlError> {
+        self.add_document(doc)
+    }
+
+    /// Use [`Corpus::add_document_with`].
+    #[deprecated(note = "use `Corpus::add_document_with`")]
+    pub fn absorb_document_with(
+        &mut self,
+        doc: &str,
+        arena: &mut ParseArena,
+    ) -> Result<(), XmlError> {
+        self.add_document_with(doc, arena)
+    }
+
+    /// Use [`infer_dtd_with_stats`].
+    #[deprecated(note = "use `dtdinfer_xml::infer::infer_dtd_with_stats`")]
+    pub fn derive(&self, engine: InferenceEngine) -> (Dtd, Vec<ElementReport>) {
+        infer_dtd_with_stats(self, engine)
+    }
+
+    /// Use the corpus itself, or `clone` it.
+    #[deprecated(note = "use the corpus itself")]
+    pub fn facts_corpus(&self) -> Corpus {
+        self.clone()
     }
 }
 

@@ -3,7 +3,8 @@
 //! Hand-written, dependency-free, and scoped to what schema inference
 //! needs: well-formed element structure, attributes, character data (with
 //! predefined and numeric entity decoding; unknown and malformed
-//! references pass through as literal text), CDATA sections, comments,
+//! references, and references to code points XML does not allow as
+//! characters, pass through as literal text), CDATA sections, comments,
 //! processing instructions, and DOCTYPE declarations (skipped, including
 //! internal subsets). It checks tag balance — mismatched or dangling tags
 //! are errors — but does not validate against any schema; that is the job
@@ -464,37 +465,56 @@ pub fn encode_entities(s: &str) -> String {
     out
 }
 
-/// Resolves one entity body (the text between `&` and `;`), or `None` when
-/// it is not a recognized reference.
-fn resolve_entity(entity: &str) -> Option<char> {
-    match entity {
-        "lt" => Some('<'),
-        "gt" => Some('>'),
-        "amp" => Some('&'),
-        "apos" => Some('\''),
-        "quot" => Some('"'),
-        _ => entity
-            .strip_prefix("#x")
-            .or_else(|| entity.strip_prefix("#X"))
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .or_else(|| entity.strip_prefix('#').and_then(|d| d.parse::<u32>().ok()))
-            .and_then(char::from_u32),
+/// Resolves the reference at the start of `rest` (which starts with `&`)
+/// to its character and its length in bytes. A reference is `&#` and
+/// decimal digits, `&#x` (or `&#X`) and hex digits, or one of the five
+/// predefined entity names, ended by `;`. The scan stops where that
+/// syntax does, so it reads the reference's own bytes and at most one
+/// more. `None` for a malformed or unknown reference, and for one naming
+/// a code point that is not an XML `Char` (§2.2: no NUL, no C0 control
+/// but tab, LF and CR, no surrogate, U+FFFE or U+FFFF).
+fn resolve_reference(rest: &[u8]) -> Option<(char, usize)> {
+    if rest.get(1) != Some(&b'#') {
+        let end = 1 + rest[1..].iter().take_while(|&&b| is_name_char(b)).count();
+        let c = match (&rest[1..end], rest.get(end)) {
+            (b"lt", Some(b';')) => '<',
+            (b"gt", Some(b';')) => '>',
+            (b"amp", Some(b';')) => '&',
+            (b"apos", Some(b';')) => '\'',
+            (b"quot", Some(b';')) => '"',
+            _ => return None,
+        };
+        return Some((c, end + 1));
     }
+    let (start, radix) = match rest.get(2) {
+        Some(b'x' | b'X') => (3, 16),
+        _ => (2, 10),
+    };
+    let digits = rest[start..]
+        .iter()
+        .take_while(|&&b| char::from(b).is_digit(radix))
+        .count();
+    let end = start + digits;
+    if digits == 0 || rest.get(end) != Some(&b';') {
+        return None;
+    }
+    // Leading zeros are free; a value past `u32` is no character anyway.
+    let code = rest[start..end].iter().try_fold(0u32, |code, &b| {
+        let digit = char::from(b).to_digit(radix)?;
+        code.checked_mul(radix)?.checked_add(digit)
+    })?;
+    let c = char::from_u32(code).filter(|c| {
+        matches!(c, '\t' | '\n' | '\r' | ' '..='\u{D7FF}' | '\u{E000}'..='\u{FFFD}' | '\u{10000}'..)
+    })?;
+    Some((c, end + 1))
 }
 
-/// Position of the next `;` within the 12 bytes following an `&` — the
-/// longest reference this decoder resolves — so scanning for a terminator
-/// never walks the full remainder of an entity-free text run.
-fn nearby_semicolon(rest: &str) -> Option<usize> {
-    let win = &rest.as_bytes()[..rest.len().min(13)];
-    win.iter().position(|&b| b == b';')
-}
-
-/// Decodes the predefined XML entities and numeric character references.
-/// Unknown and malformed references pass through verbatim (lenient, as
-/// the noisy real-world data of §9 requires). Borrows `s` when it
-/// contains no ampersand (the common case on real data), allocating only
-/// when a reference actually has to be rewritten. The gate and the
+/// Decodes the predefined XML entities and numeric character references
+/// of any length. Unknown and malformed references, and references to
+/// code points that are not XML characters, pass through verbatim
+/// (lenient, as the noisy real-world data of §9 requires). Borrows `s`
+/// when it contains no ampersand (the common case on real data),
+/// allocating only when a reference actually has to be rewritten. The gate and the
 /// reference loop both skip between ampersands with the SWAR scanner.
 pub fn decode_entities_cow(s: &str) -> Cow<'_, str> {
     if scan::next_byte(s.as_bytes(), 0, b'&').is_none() {
@@ -505,17 +525,11 @@ pub fn decode_entities_cow(s: &str) -> Cow<'_, str> {
     while let Some(amp) = scan::next_byte(rest.as_bytes(), 0, b'&') {
         out.push_str(&rest[..amp]);
         rest = &rest[amp..];
-        match nearby_semicolon(rest) {
-            Some(semi) => match resolve_entity(&rest[1..semi]) {
-                Some(c) => {
-                    out.push(c);
-                    rest = &rest[semi + 1..];
-                }
-                None => {
-                    out.push('&');
-                    rest = &rest[1..];
-                }
-            },
+        match resolve_reference(rest.as_bytes()) {
+            Some((c, len)) => {
+                out.push(c);
+                rest = &rest[len..];
+            }
             None => {
                 out.push('&');
                 rest = &rest[1..];
@@ -628,6 +642,41 @@ mod tests {
         );
         assert_eq!(decode_entities_cow("&#65;&#x42;"), "AB");
         assert_eq!(decode_entities_cow("&unknown; & bare"), "&unknown; & bare");
+    }
+
+    #[test]
+    fn references_decode_by_their_own_syntax() {
+        for (input, decoded) in [
+            // Well-formed references decode whatever their length.
+            ("&#0000000000065;", "A"),
+            ("&#x000000000041;", "A"),
+            ("&#65;&#x42;&#X43;", "ABC"),
+            ("&#x1F600;", "\u{1F600}"),
+            ("&#9;&#xA;&#13;", "\t\n\r"),
+            ("&&lt;&amp;amp;", "&<&amp;"),
+            ("&averyveryverylongname;&gt;", "&averyveryverylongname;>"),
+            // Code points XML does not allow as characters stay literal.
+            ("&#0;", "&#0;"),
+            ("&#x1F;", "&#x1F;"),
+            ("&#xD800;", "&#xD800;"),
+            ("&#xFFFE;", "&#xFFFE;"),
+            ("&#x110000;", "&#x110000;"),
+            ("&#99999999999;", "&#99999999999;"),
+            // So do malformed and unknown references.
+            ("&#;", "&#;"),
+            ("&#x;", "&#x;"),
+            ("&#+65;", "&#+65;"),
+            ("&#65 ;", "&#65 ;"),
+            ("&#6A;", "&#6A;"),
+            ("&#65", "&#65"),
+            ("&lt", "&lt"),
+            ("&ltx;", "&ltx;"),
+            ("& lt;", "& lt;"),
+            ("a & b;", "a & b;"),
+            ("&", "&"),
+        ] {
+            assert_eq!(decode_entities_cow(input), decoded, "{input}");
+        }
     }
 
     #[test]

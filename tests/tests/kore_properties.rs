@@ -11,10 +11,11 @@ use dtdinfer_automata::ktestable::KTestable;
 use dtdinfer_core::kore::{KoreState, MAX_K};
 use dtdinfer_core::noise::{EdgeKind, SupportSoa};
 use dtdinfer_engine::pool::ingest;
-use dtdinfer_engine::{snapshot, EngineState};
+use dtdinfer_engine::snapshot;
 use dtdinfer_regex::alphabet::{Alphabet, Sym, Word};
 use dtdinfer_regex::multiset::WordBag;
-use dtdinfer_xml::infer::InferenceEngine;
+use dtdinfer_xml::extract::Corpus;
+use dtdinfer_xml::infer::{infer_dtd, InferenceEngine};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -45,7 +46,7 @@ fn docs_of(words: &[Word]) -> Vec<String> {
 /// `state` as a v3 or v4 writer saved it: the current records under the
 /// old `header`, plus each element's learner rows after its `w` rows —
 /// `s` support-SOA and `c` CRX records, and for v4 the `k` k-ORE records.
-fn legacy_save(state: &EngineState, header: &str) -> String {
+fn legacy_save(state: &Corpus, header: &str) -> String {
     let canon = state.canonicalized();
     let with_kore = header == snapshot::V4_HEADER;
     let mut learner_rows = canon
@@ -200,8 +201,8 @@ proptest! {
         for merged in [&lr, &rl] {
             prop_assert_eq!(snapshot::save(merged), snapshot::save(&whole));
             prop_assert_eq!(
-                merged.derive(InferenceEngine::Kore).0.serialize(),
-                whole.derive(InferenceEngine::Kore).0.serialize()
+                infer_dtd(merged, InferenceEngine::Kore).serialize(),
+                infer_dtd(&whole, InferenceEngine::Kore).serialize()
             );
         }
     }
@@ -241,8 +242,8 @@ proptest! {
         prop_assert_eq!(snapshot::save(&loaded), text.clone(), "save∘load is the identity");
         for engine in [InferenceEngine::Kore, InferenceEngine::Auto] {
             prop_assert_eq!(
-                loaded.derive(engine).0.serialize(),
-                state.derive(engine).0.serialize(),
+                infer_dtd(&loaded, engine).serialize(),
+                infer_dtd(&state, engine).serialize(),
                 "derive after round trip, {:?}", engine
             );
         }
@@ -263,8 +264,8 @@ proptest! {
         let loaded = snapshot::load(&v3).expect("v3 snapshot loads");
         prop_assert_eq!(snapshot::save(&loaded), current, "rebuild from word rows is exact");
         prop_assert_eq!(
-            loaded.derive(InferenceEngine::Kore).0.serialize(),
-            state.derive(InferenceEngine::Kore).0.serialize()
+            infer_dtd(&loaded, InferenceEngine::Kore).serialize(),
+            infer_dtd(&state, InferenceEngine::Kore).serialize()
         );
         let err = snapshot::load(&without_word_rows(&v3)).unwrap_err();
         prop_assert!(err.contains("rebuild it from its documents"), "{}", err);

@@ -182,8 +182,8 @@ proptest! {
         let sequential = ingest(&docs, 1).expect("generated corpus parses");
         let sharded = ingest(&docs, jobs).expect("generated corpus parses");
         prop_assert_eq!(
-            sequential.state.derive(InferenceEngine::Idtd).0.serialize(),
-            sharded.state.derive(InferenceEngine::Idtd).0.serialize()
+            infer_dtd(&sequential.state, InferenceEngine::Idtd).serialize(),
+            infer_dtd(&sharded.state, InferenceEngine::Idtd).serialize()
         );
         prop_assert_eq!(
             snapshot::save(&sequential.state),

@@ -12,9 +12,9 @@
 
 use dtdinfer_engine::pool::ingest;
 use dtdinfer_engine::snapshot;
-use dtdinfer_engine::EngineState;
 use dtdinfer_xml::datatype::XsdType;
-use dtdinfer_xml::infer::InferenceEngine;
+use dtdinfer_xml::extract::Corpus;
+use dtdinfer_xml::infer::{infer_dtd, InferenceEngine};
 use dtdinfer_xml::samples::{SampleBag, DEFAULT_SAMPLE_CAP};
 use dtdinfer_xml::xsd::{generate_xsd, XsdOptions};
 
@@ -151,11 +151,11 @@ fn assert_golden(actual: &str, golden: &str, what: &str) {
     );
 }
 
-fn auto_xsd(state: &EngineState) -> String {
-    let dtd = state.derive(InferenceEngine::Auto).0;
+fn auto_xsd(state: &Corpus) -> String {
+    let dtd = infer_dtd(state, InferenceEngine::Auto);
     generate_xsd(
         &dtd,
-        Some(&state.corpus),
+        Some(state),
         XsdOptions {
             numeric_threshold: None,
         },
